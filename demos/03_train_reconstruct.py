@@ -11,16 +11,10 @@ import time
 import numpy as np
 
 from virso_kit.graphs import anchor_embeddings, build_knn, compute_edge_weights
-from virso_kit.model import GraphArtifacts, VirsoConfig, VirsoModel, flop_count
+from virso_kit.model import GraphArtifacts, VirsoConfig, VirsoModel, flop_count, predict
 from virso_kit.spectral import lobpcg_smallest, normalized_laplacian
 from virso_kit.synthetic import SynthSpec, generate_dataset
-from virso_kit.training import (
-    TrainSchedule,
-    evaluate,
-    predict_field,
-    split_dataset,
-    train,
-)
+from virso_kit.training import TrainSchedule, evaluate, split_dataset, train
 
 spec = SynthSpec(n_target=300, sample_count=400, seed=0)
 dataset, points = generate_dataset(spec)
@@ -40,7 +34,7 @@ config = VirsoConfig(
     embed_hidden=32, down_hidden=32,
 )
 model = VirsoModel(config, seed=0)
-fl = flop_count(config, n=dataset.n, e=graph.edge_count)
+fl = flop_count(config, n=dataset.n, e=arts.src.size)
 print(f"model: {model.num_params()} parameters, "
       f"{fl['total'] / 1e6:.1f} MFLOPs/sample")
 
@@ -59,8 +53,9 @@ print("per channel (T, v, k):",
 print("percentiles:", {k: f"{v:.2%}" for k, v in ev.percentiles.items()})
 
 # streaming single-sample inference in physical units
-sample = dataset.sample(int(dataset.indices_of("test")[0]))
-pred = predict_field(model, arts, sample.u_q, input_norm, target_norm)
-err = np.linalg.norm(pred.s - sample.s, axis=0) / np.linalg.norm(sample.s, axis=0)
-print(f"\nsingle-sample check ({sample.id}): per-channel errors "
+i = int(dataset.indices_of("test")[0])
+pred = target_norm.invert(predict(model, arts, input_norm.apply(dataset.inputs[i])))
+truth = dataset.targets[i]
+err = np.linalg.norm(pred - truth, axis=0) / np.linalg.norm(truth, axis=0)
+print(f"\nsingle-sample check ({dataset.ids[i]}): per-channel errors "
       + " ".join(f"{e:.2%}" for e in err))

@@ -215,15 +215,28 @@ def emit_report(reports: list[BenchReport], out_dir: Path | None = None,
 
 
 def parse_report_csv(text: str) -> list[BenchReport]:
+    """Reports from CSV text with columns `model`, `scope`, `energy_j_per_it`
+    and `latency_ms_per_it`, plus optional `mean_err_percent`, `flops` and
+    `power_w`.
+
+    A missing `scope` column is refused rather than assumed, so rows from
+    different telemetry domains are never silently mixed.
+    """
     reader = csv.DictReader(io.StringIO(text))
+    required = ("model", "scope", "energy_j_per_it", "latency_ms_per_it")
+    missing = [c for c in required if c not in (reader.fieldnames or ())]
+    if missing:
+        raise InvalidParameterError(f"report CSV lacks column(s) {missing}")
     out = []
     for row in reader:
+        err, flops, power = (row.get(c) for c in ("mean_err_percent", "flops", "power_w"))
         out.append(make_report(
             model=row["model"],
             scope=row["scope"],
             energy_j_per_it=float(row["energy_j_per_it"]),
             latency_ms=float(row["latency_ms_per_it"]),
-            mean_err_percent=float(row["mean_err_percent"]) if row.get("mean_err_percent") else None,
-            flops=int(row["flops"]) if row.get("flops") else None,
+            mean_err_percent=float(err) if err else None,
+            power_w=float(power) if power else None,
+            flops=int(float(flops)) if flops else None,
         ))
     return out

@@ -12,103 +12,26 @@ counts before numpy loads.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
 import sys
+import types
+import typing
 from pathlib import Path
 
 SCHEMA_VERSION = 1
 
-_SCHEMA = {
-    "schema_version": int,
-    "seed": int,
-    "synth": {
-        "n_target": int,
-        "hole_center": list,
-        "hole_radius": float,
-        "densify_factor": float,
-        "band_width": float,
-        "profile_len": int,
-        "a_range": list,
-        "t_in_range": list,
-        "v_in_range": list,
-        "sample_count": int,
-    },
-    "split": list,
-    "split_seed": int,
-    "graph": {
-        "method": str,
-        "k": int,
-        "r": float,
-        "k_min": int,
-        "k_max": int,
-        "density_radius": float,
-        "alpha_floor": int,
-        "anchor_seed": int,
-    },
-    "model": {
-        "T": int,
-        "d_v": int,
-        "m": int,
-        "d_latent": int,
-        "alpha_anchors": int,
-        "gate_hidden": int,
-        "gate_weight_width": int,
-        "variant": str,
-        "use_identity_skip": bool,
-        "use_spectral_weighted_skip": bool,
-        "collaboration": str,
-        "weighted_laplacian": bool,
-        "embed_hidden": int,
-        "down_hidden": int,
-    },
-    "training": {
-        "lr": float,
-        "decay_step": int,
-        "decay": float,
-        "batch_size": int,
-        "max_epochs": int,
-        "weight_decay": float,
-        "patience": int,
-        "accum_steps": int,
-        "target_norm_mode": str,
-        "magnitude_channels": list,
-        "magnitude_weight": float,
-    },
-    "gradcheck": {"probe_count": int, "step": float, "samples": int},
-    "bench": {
-        "warmup": int,
-        "repeats": int,
-        "telemetry_interval_s": float,
-        "telemetry_scope": str,
-    },
-}
-
-# training defaults follow the published reference schedule
-_DEFAULTS = {
-    "schema_version": SCHEMA_VERSION,
-    "seed": 0,
-    "synth": {},
-    "split": [0.6, 0.2, 0.2],
-    "split_seed": 0,
-    "graph": {"method": "knn", "k": 8, "alpha_floor": 1, "anchor_seed": 0},
-    "model": {
-        "T": 4, "d_v": 16, "m": 16, "d_latent": 16, "alpha_anchors": 8,
-        "gate_hidden": 16, "gate_weight_width": 8, "variant": "full",
-        "use_identity_skip": True, "use_spectral_weighted_skip": True,
-        "collaboration": "linear", "weighted_laplacian": False,
-        "embed_hidden": 64, "down_hidden": 128,
-    },
-    "training": {
-        "lr": 1e-3, "decay_step": 40, "decay": 0.5, "batch_size": 16,
-        "max_epochs": 500, "weight_decay": 1e-3, "patience": 40,
-        "accum_steps": 1, "target_norm_mode": "minmax",
-        "magnitude_channels": None, "magnitude_weight": 0.1,
-    },
-    "gradcheck": {"probe_count": 30, "step": 1e-5, "samples": 4},
-    "bench": {"warmup": 2, "repeats": 3, "telemetry_interval_s": 0.01,
-              "telemetry_scope": "device"},
+# Keys with no library dataclass behind them: key -> (type, default).
+_ROOT_KEYS = {"schema_version": (int, SCHEMA_VERSION), "seed": (int, 0),
+              "split": (tuple, (0.6, 0.2, 0.2)), "split_seed": (int, 0)}
+_PLAIN_SECTIONS = {
+    "graph": {"method": (str, "knn"), "k": (int, 8), "r": (float, None),
+              "anchor_seed": (int, 0)},
+    "gradcheck": {"probe_count": (int, 30), "step": (float, 1e-5), "samples": (int, 4)},
+    "bench": {"warmup": (int, 2), "repeats": (int, 3), "telemetry_interval_s": (float, 0.01),
+              "telemetry_scope": (str, "device")},
 }
 
 
@@ -116,36 +39,58 @@ class _CliConfigError(ValueError):
     pass
 
 
-def _check_section(raw: dict, schema: dict, path: str) -> dict:
-    out = {}
+def _dataclass_keys(cls, exclude: tuple[str, ...]) -> dict:
+    """key -> (type, default) for the fields of `cls`; None stands for no default."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], None if f.default is dataclasses.MISSING else f.default)
+            for f in dataclasses.fields(cls) if f.name not in exclude}
+
+
+def config_sections() -> dict:
+    """Allowed keys, types and defaults of each config section.
+
+    `synth`, `model`, `training` and part of `graph` are the fields of the
+    library dataclasses, so the CLI and the library share one set of defaults.
+    """
+    from .graphs import VknnConfig
+    from .model import VirsoConfig
+    from .synthetic import SynthSpec
+    from .training import TrainSchedule
+
+    sections = {key: dict(val) for key, val in _PLAIN_SECTIONS.items()}
+    sections["synth"] = _dataclass_keys(SynthSpec, ("seed",))
+    sections["model"] = _dataclass_keys(
+        VirsoConfig, ("output_channels", "input_width", "spatial_dim"))
+    sections["training"] = _dataclass_keys(TrainSchedule, ("seed",))
+    sections["graph"].update(_dataclass_keys(VknnConfig, ()))
+    return sections
+
+
+def _check_value(val, want, where: str):
+    """`val` checked against type `want`: null passes, an int is taken for a
+    float and a JSON list for a tuple, and a bool is never a number."""
+    if val is None:
+        return None
+    if typing.get_origin(want) in (typing.Union, types.UnionType):
+        want = next(a for a in typing.get_args(want) if a is not type(None))
+    if want is tuple or typing.get_origin(want) is tuple:
+        if not isinstance(val, list):
+            raise _CliConfigError(f"config key {where!r} must be list")
+        return tuple(val)
+    if want is float and isinstance(val, int) and not isinstance(val, bool):
+        return float(val)
+    if (want in (int, float) and isinstance(val, bool)) or not isinstance(val, want):
+        raise _CliConfigError(f"config key {where!r} must be {want.__name__}")
+    return val
+
+
+def _check_section(raw: dict, keys: dict, path: str) -> dict:
+    """`raw` checked against `keys`, with the defaults of absent keys filled in."""
+    out = {key: default for key, (_, default) in keys.items()}
     for key, val in raw.items():
-        if key not in schema:
+        if key not in keys:
             raise _CliConfigError(f"unknown config key {path}{key!r}")
-        want = schema[key]
-        if isinstance(want, dict):
-            if not isinstance(val, dict):
-                raise _CliConfigError(f"config key {path}{key!r} must be an object")
-            out[key] = _check_section(val, want, f"{path}{key}.")
-        else:
-            if val is not None:
-                if want is float and isinstance(val, int) and not isinstance(val, bool):
-                    val = float(val)
-                if want in (int, float) and isinstance(val, bool):
-                    raise _CliConfigError(f"config key {path}{key!r} must be {want.__name__}")
-                if not isinstance(val, want):
-                    raise _CliConfigError(
-                        f"config key {path}{key!r} must be {want.__name__}"
-                    )
-            out[key] = val
-    return out
-
-
-def _merge(defaults, override):
-    if not isinstance(defaults, dict):
-        return override
-    out = dict(defaults)
-    for key, val in override.items():
-        out[key] = _merge(defaults.get(key), val) if isinstance(val, dict) else val
+        out[key] = _check_value(val, keys[key][0], f"{path}{key}")
     return out
 
 
@@ -159,12 +104,15 @@ def load_config(path: Path, seed_override: int | None = None) -> dict:
         raise _CliConfigError(f"config is not valid JSON: {err}") from err
     if not isinstance(raw, dict):
         raise _CliConfigError("config root must be a JSON object")
-    checked = _check_section(raw, _SCHEMA, "")
-    if checked.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
-        raise _CliConfigError(
-            f"unsupported schema_version {checked.get('schema_version')}"
-        )
-    cfg = _merge(_DEFAULTS, checked)
+    sections = config_sections()
+    cfg = _check_section({k: v for k, v in raw.items() if k not in sections}, _ROOT_KEYS, "")
+    if cfg["schema_version"] != SCHEMA_VERSION:
+        raise _CliConfigError(f"unsupported schema_version {cfg['schema_version']}")
+    for name, keys in sections.items():
+        section = raw.get(name, {})
+        if not isinstance(section, dict):
+            raise _CliConfigError(f"config key {name!r} must be an object")
+        cfg[name] = _check_section(section, keys, f"{name}.")
     if seed_override is not None:
         cfg["seed"] = seed_override
     return cfg
@@ -183,16 +131,6 @@ def _summary(out: Path, command: str, cfg: dict, artifacts: list[str]):
 
 # ---------------------------------------------------------------------------
 # shared artifact plumbing
-
-
-def _synth_spec(cfg):
-    from .synthetic import SynthSpec
-
-    kw = dict(cfg["synth"])
-    for key in ("hole_center", "a_range", "t_in_range", "v_in_range"):
-        if key in kw and kw[key] is not None:
-            kw[key] = tuple(kw[key])
-    return SynthSpec(seed=cfg["seed"], **kw)
 
 
 def _dataset_dir(out: Path) -> Path:
@@ -225,31 +163,46 @@ def _build_graph(cfg, points):
     g = cfg["graph"]
     method = g["method"]
     if method == "knn":
-        if g.get("k") is None:
+        if g["k"] is None:
             raise ConfigError("graph.k required for method 'knn'")
         graph = build_knn(points, g["k"])
     elif method == "radius":
-        if g.get("r") is None:
+        if g["r"] is None:
             raise ConfigError("graph.r required for method 'radius'")
         graph = build_radius(points, g["r"])
     elif method == "vknn":
         for key in ("k_min", "k_max", "density_radius"):
-            if g.get(key) is None:
+            if g[key] is None:
                 raise ConfigError(f"graph.{key} required for method 'vknn'")
         graph = build_vknn(points, VknnConfig(
             k_min=g["k_min"], k_max=g["k_max"],
             density_radius=g["density_radius"],
-            alpha_floor=g.get("alpha_floor", 1),
+            alpha_floor=g["alpha_floor"],
         ))
     else:
         raise ConfigError(f"unknown graph.method {method!r}")
     return compute_edge_weights(graph, points)
 
 
+def _solve_basis(cfg, graph):
+    from .spectral import lobpcg_smallest, normalized_laplacian
+
+    lap = normalized_laplacian(graph, weighted=cfg["model"]["weighted_laplacian"])
+    return lobpcg_smallest(lap, cfg["model"]["m"], seed=cfg["seed"])
+
+
+def _prepare(cfg, graph, points, basis):
+    from .graphs import anchor_embeddings
+    from .model import GraphArtifacts
+
+    anchors = anchor_embeddings(graph, cfg["model"]["alpha_anchors"],
+                                seed=cfg["graph"]["anchor_seed"])
+    return GraphArtifacts.prepare(graph, points.coords, basis=basis, anchors=anchors)
+
+
 def _load_artifacts(cfg, out):
     """Graph + basis + anchors, rebuilt as GraphArtifacts for the model."""
-    from .graphs import anchor_embeddings, load_graph
-    from .model import GraphArtifacts
+    from .graphs import load_graph
     from .spectral import load_eigen_basis
 
     ds, points = _load_dataset(out)
@@ -259,10 +212,34 @@ def _load_artifacts(cfg, out):
     if cfg["model"]["variant"] != "spatial_only":
         basis = load_eigen_basis(_require(gdir / "basis.json", "prep-graph"),
                                  expected_graph_hash=graph.content_hash())
-    anchors = anchor_embeddings(graph, cfg["model"]["alpha_anchors"],
-                                seed=cfg["graph"]["anchor_seed"])
-    arts = GraphArtifacts.prepare(graph, points.coords, basis=basis, anchors=anchors)
-    return ds, points, arts
+    return ds, points, _prepare(cfg, graph, points, basis)
+
+
+def _load_trained(cfg, args):
+    """Checkpoint, graph artifacts and normalizers for `eval` and `bench`.
+
+    The model section of `cfg` takes the checkpoint's architecture, and
+    the checkpoint must name the graph on disk.
+    """
+    from .errors import ArtifactError
+    from .model import load_checkpoint
+    from .training import Normalizer
+
+    out = Path(args.out)
+    ckpt = Path(args.checkpoint) if args.checkpoint else _require(
+        out / "checkpoint.json", "train")
+    model, graph_hash = load_checkpoint(ckpt)
+    for key in ("variant", "alpha_anchors", "m"):
+        cfg["model"][key] = getattr(model.config, key)
+    ds, _, arts = _load_artifacts(cfg, out)
+    if graph_hash != arts.graph.content_hash():
+        raise ArtifactError(
+            f"checkpoint {ckpt} was trained on graph {graph_hash}, but "
+            f"{_graph_dir(out) / 'graph.json'} is graph {arts.graph.content_hash()}"
+        )
+    norm_state = json.loads(_require(ckpt.parent / "normalizers.json", "train").read_text())
+    return (model, ds, arts, Normalizer.from_state(norm_state["input"]),
+            Normalizer.from_state(norm_state["target"]))
 
 
 def _model_config(cfg, ds, points, variant=None):
@@ -279,10 +256,7 @@ def _model_config(cfg, ds, points, variant=None):
 def _schedule(cfg):
     from .training import TrainSchedule
 
-    t = dict(cfg["training"])
-    if t.get("magnitude_channels") is not None:
-        t["magnitude_channels"] = tuple(t["magnitude_channels"])
-    return TrainSchedule(seed=cfg["seed"], **t)
+    return TrainSchedule(seed=cfg["seed"], **cfg["training"])
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +267,11 @@ def cmd_gen_data(args) -> int:
     from .blobio import sha256_of
     from .training import save_dataset, split_dataset
 
-    cfg = load_config(args.config, args.seed)
-    from .synthetic import generate_dataset
+    from .synthetic import SynthSpec, generate_dataset
 
-    spec = _synth_spec(cfg)
-    ds, points = generate_dataset(spec)
-    ds = split_dataset(ds, tuple(cfg["split"]), seed=cfg["split_seed"])
+    cfg = load_config(args.config, args.seed)
+    ds, points = generate_dataset(SynthSpec(seed=cfg["seed"], **cfg["synth"]))
+    ds = split_dataset(ds, cfg["split"], seed=cfg["split_seed"])
     out = Path(args.out)
     save_dataset(ds, _dataset_dir(out), points)
     _summary(out, "gen-data", cfg, ["dataset/dataset.json"])
@@ -313,7 +286,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_prep_graph(args) -> int:
     from .graphs import degree_stats, save_graph
-    from .spectral import lobpcg_smallest, normalized_laplacian, save_eigen_basis
+    from .spectral import save_eigen_basis
 
     cfg = load_config(args.config, args.seed)
     if args.graph:
@@ -326,9 +299,7 @@ def cmd_prep_graph(args) -> int:
     artifacts = ["graph/graph.json"]
     stats = degree_stats(graph)
     if cfg["model"]["variant"] != "spatial_only":
-        lap = normalized_laplacian(graph, weighted=cfg["model"]["weighted_laplacian"])
-        basis = lobpcg_smallest(lap, cfg["model"]["m"], seed=cfg["seed"])
-        save_eigen_basis(basis, gdir, graph.content_hash())
+        save_eigen_basis(_solve_basis(cfg, graph), gdir, graph.content_hash())
         artifacts.append("graph/basis.json")
     _write_json(gdir / "degree_stats.json", stats)
     _summary(out, "prep-graph", cfg, artifacts)
@@ -373,21 +344,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .model import load_checkpoint
-    from .training import Normalizer, evaluate
+    from .training import evaluate
 
     cfg = load_config(args.config, args.seed)
     out = Path(args.out)
-    ckpt = Path(args.checkpoint) if args.checkpoint else _require(
-        out / "checkpoint.json", "train")
-    model, _ = load_checkpoint(ckpt)
-    cfg["model"]["variant"] = model.config.variant
-    cfg["model"]["alpha_anchors"] = model.config.alpha_anchors
-    cfg["model"]["m"] = model.config.m
-    ds, points, arts = _load_artifacts(cfg, out)
-    norm_state = json.loads(_require(ckpt.parent / "normalizers.json", "train").read_text())
-    input_norm = Normalizer.from_state(norm_state["input"])
-    target_norm = Normalizer.from_state(norm_state["target"])
+    model, ds, arts, input_norm, target_norm = _load_trained(cfg, args)
     ev = evaluate(model, ds, arts, input_norm, target_norm, split="test")
     _write_json(out / "eval_report.json", ev.as_dict())
     _summary(out, "eval", cfg, ["eval_report.json"])
@@ -412,9 +373,7 @@ def _ablation_model_cfg(cfg, ds, points, variant_key):
 def cmd_ablate(args) -> int:
     import csv as _csv
 
-    from .graphs import anchor_embeddings, degree_stats
-    from .model import GraphArtifacts, VirsoModel, param_count
-    from .spectral import lobpcg_smallest, normalized_laplacian
+    from .model import VirsoModel, param_count
     from .training import evaluate, train
 
     cfg = load_config(args.config, args.seed)
@@ -426,12 +385,7 @@ def cmd_ablate(args) -> int:
         gcfg["graph"] = dict(cfg["graph"])
         gcfg["graph"]["method"] = method
         graph = _build_graph(gcfg, points)
-        lap = normalized_laplacian(graph, weighted=cfg["model"]["weighted_laplacian"])
-        basis = lobpcg_smallest(lap, cfg["model"]["m"], seed=cfg["seed"])
-        anchors = anchor_embeddings(graph, cfg["model"]["alpha_anchors"],
-                                    seed=cfg["graph"]["anchor_seed"])
-        arts = GraphArtifacts.prepare(graph, points.coords, basis=basis, anchors=anchors)
-        edge_count = degree_stats(graph)["edge_count"]
+        arts = _prepare(cfg, graph, points, _solve_basis(cfg, graph))
         for variant_key in _ABLATION_ORDER:
             mc = _ablation_model_cfg(cfg, ds, points, variant_key)
             model = VirsoModel(mc, seed=cfg["seed"])
@@ -441,7 +395,7 @@ def cmd_ablate(args) -> int:
                 "graph": method,
                 "variant": variant_key,
                 "params": param_count(mc),
-                "edges": edge_count,
+                "edges": graph.edge_count,
                 "test_mean_err_percent": 100 * ev.mean,
                 "per_channel_percent": (100 * ev.per_channel_mean).tolist(),
             })
@@ -495,25 +449,16 @@ def cmd_bench(args) -> int:
         measure_latency,
         read_telemetry_csv,
     )
-    from .model import flop_count, load_checkpoint
-    from .training import Normalizer
+    from .model import flop_count
 
     cfg = load_config(args.config, args.seed)
     out = Path(args.out)
-    ckpt = Path(args.checkpoint) if args.checkpoint else _require(
-        out / "checkpoint.json", "train")
-    model, _ = load_checkpoint(ckpt)
-    cfg["model"]["variant"] = model.config.variant
-    cfg["model"]["alpha_anchors"] = model.config.alpha_anchors
-    cfg["model"]["m"] = model.config.m
-    ds, points, arts = _load_artifacts(cfg, out)
-    norm_state = json.loads(_require(ckpt.parent / "normalizers.json", "train").read_text())
-    input_norm = Normalizer.from_state(norm_state["input"])
+    model, ds, arts, input_norm, _ = _load_trained(cfg, args)
     idx = ds.indices_of("test")
     bench = cfg["bench"]
     latency = measure_latency(model, arts, input_norm.apply(ds.inputs[idx]),
                               warmup=bench["warmup"], repeats=bench["repeats"])
-    flops = flop_count(model.config, n=ds.n, e=arts.graph.edge_count)
+    flops = flop_count(model.config, n=ds.n, e=arts.src.size)
     payload = {
         "latency_ms_per_it": latency,
         "flops": flops,
@@ -542,31 +487,15 @@ def cmd_bench(args) -> int:
 
 
 def cmd_report(args) -> int:
-    import csv as _csv
-
-    from .benchmarks import emit_report, make_report
+    from .benchmarks import emit_report, parse_report_csv
 
     out = Path(args.out)
     inputs = Path(args.inputs)
     if not inputs.is_file():
         raise _CliConfigError(f"inputs CSV not found: {inputs}")
-    with open(inputs, newline="") as fh:
-        rows = list(_csv.DictReader(fh))
-    if not rows:
+    reports = parse_report_csv(inputs.read_text())
+    if not reports:
         raise _CliConfigError(f"no rows in {inputs}")
-    reports = []
-    for row in rows:
-        power = row.get("power_w")
-        err = row.get("mean_err_percent")
-        reports.append(make_report(
-            model=row["model"],
-            scope=row.get("scope", "device"),
-            energy_j_per_it=float(row["energy_j_per_it"]),
-            latency_ms=float(row["latency_ms_per_it"]),
-            mean_err_percent=float(err) if err else None,
-            power_w=float(power) if power else None,
-            flops=int(float(row["flops"])) if row.get("flops") else None,
-        ))
     emit_report(reports, out_dir=out, name="report")
     print(f"report: {len(reports)} rows -> {out / 'report.csv'}")
     return 0

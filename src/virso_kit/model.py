@@ -26,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Value, constant, no_grad, param
 from .blobio import F32, read_manifest, write_manifest
-from .errors import ArtifactError, ConfigError, InvalidParameterError, ShapeError
+from .errors import ArtifactError, ConfigError, ShapeError
 from .graphs import AnchorEmbedding, Graph
 from .spectral import EigenBasis
 
@@ -34,14 +34,18 @@ VARIANTS = ("full", "spectral_only", "spatial_only")
 COLLABORATIONS = ("linear", "nonlinear")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class VirsoConfig:
-    """Architecture configuration; all widths explicit."""
+    """Architecture configuration; all widths explicit.
 
-    T: int
-    d_v: int
-    m: int
-    d_latent: int
+    The defaults are the command-line defaults; the two data-dependent
+    widths have none.
+    """
+
+    T: int = 4
+    d_v: int = 16
+    m: int = 16
+    d_latent: int = 16
     output_channels: int
     input_width: int
     spatial_dim: int = 2
@@ -82,19 +86,6 @@ class VirsoConfig:
     @property
     def has_spatial(self) -> bool:
         return self.variant in ("full", "spatial_only")
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """Dense output field in physical units."""
-
-    s: np.ndarray
-
-    def __post_init__(self):
-        if self.s.ndim != 2:
-            raise ShapeError(f"prediction must be (n, C), got {self.s.shape}")
-        if not np.all(np.isfinite(self.s)):
-            raise InvalidParameterError("prediction contains non-finite entries")
 
 
 @dataclass
@@ -383,6 +374,9 @@ def flop_count(config: VirsoConfig, n: int, e: int) -> dict:
     spectral/block: 4 n m d_v + 2 m d_v^2          (GFT, IGFT, mode mixing)
     spatial/block:  2 E (d_v + gate), gate = 2 (2 alpha + g_w) g_h + 2 g_h
     plus the embed / lift / collaboration / downlift dense maps.
+
+    `e` is the number of directed edges the spatial branch runs over,
+    `GraphArtifacts.src.size`: twice the undirected `Graph.edge_count`.
     """
     c = config
     embed_flops = (2 * c.input_width * c.d_latent if c.embed_hidden == 0
@@ -446,18 +440,33 @@ def save_checkpoint(model: VirsoModel, out_dir: Path, graph_hash: str | None = N
 
 
 def load_checkpoint(manifest_path: Path) -> tuple[VirsoModel, str | None]:
+    """Model and graph hash from `save_checkpoint` output.
+
+    The manifest must list exactly the architecture's parameters with
+    their shapes, and the blob must hold exactly their values.
+    """
     manifest_path = Path(manifest_path)
     man = read_manifest(manifest_path)
     if man.get("kind") != "checkpoint":
         raise ArtifactError(f"{manifest_path} is not a checkpoint manifest")
     config = VirsoConfig(**man["config"])
     model = VirsoModel(config, seed=0, allow_degenerate_t=True)
+    entries = {entry["name"]: entry for entry in man["params"]}
+    missing = sorted(set(model.params) - set(entries))
+    extra = sorted(set(entries) - set(model.params))
+    if missing or extra:
+        raise ArtifactError(f"{manifest_path}: parameters missing {missing}, "
+                            f"not in architecture {extra}")
     raw = (manifest_path.parent / man["blob"]).read_bytes()
-    for entry in man["params"]:
-        name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
-        if name not in model.params:
-            raise ArtifactError(f"checkpoint parameter {name!r} not in architecture")
-        count = int(np.prod(shape))
-        arr = np.frombuffer(raw, dtype=F32, count=count, offset=offset)
+    expected = 4 * model.num_params()
+    if len(raw) != expected:
+        raise ArtifactError(f"{man['blob']} holds {len(raw)} bytes, "
+                            f"the parameters need {expected}")
+    for name, entry in entries.items():
+        shape = tuple(entry["shape"])
+        if shape != model.params[name].data.shape:
+            raise ArtifactError(f"checkpoint parameter {name!r} has shape {shape}, "
+                                f"architecture expects {model.params[name].data.shape}")
+        arr = np.frombuffer(raw, dtype=F32, count=int(np.prod(shape)), offset=entry["offset"])
         model.params[name].data = arr.astype(np.float64).reshape(shape)
     return model, man.get("graph_hash")

@@ -26,7 +26,7 @@ from .errors import (
     UndefinedMetricError,
 )
 from .graphs import PointCloud, load_point_cloud, save_point_cloud
-from .model import GraphArtifacts, Prediction, VirsoModel, forward
+from .model import GraphArtifacts, VirsoModel, forward
 from .optim import AdamState, adam_step, restore, snapshot, zero_grads
 
 SPLIT_NAMES = ("train", "val", "test")
@@ -34,13 +34,6 @@ SPLIT_NAMES = ("train", "val", "test")
 
 # ---------------------------------------------------------------------------
 # dataset
-
-
-@dataclass(frozen=True)
-class Sample:
-    u_q: np.ndarray
-    s: np.ndarray
-    id: str
 
 
 @dataclass
@@ -78,9 +71,6 @@ class Dataset:
     @property
     def channels(self) -> int:
         return self.targets.shape[2]
-
-    def sample(self, i: int) -> Sample:
-        return Sample(u_q=self.inputs[i], s=self.targets[i], id=self.ids[i])
 
     def indices_of(self, split: str) -> np.ndarray:
         if self.splits is None:
@@ -250,17 +240,24 @@ class Normalizer:
 # metrics
 
 
-def relative_l2(pred: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, float]:
-    """Per-channel ||pred_o - truth_o|| / ||truth_o|| and their mean."""
+def relative_l2(pred: np.ndarray, truth: np.ndarray
+                ) -> tuple[np.ndarray, float | np.ndarray]:
+    """Per-channel ||pred_o - truth_o|| / ||truth_o|| and their mean.
+
+    Fields are (n, C), or (B, n, C) for a batch; a batch gives (B, C)
+    per-channel errors and (B,) means.
+    """
     pred, truth = np.asarray(pred), np.asarray(truth)
     if pred.shape != truth.shape:
         raise InvalidParameterError(f"shape mismatch {pred.shape} vs {truth.shape}")
-    norms = np.linalg.norm(truth, axis=0)
+    norms = np.linalg.norm(truth, axis=-2)
     if np.any(norms == 0.0):
-        dead = int(np.flatnonzero(norms == 0.0)[0])
-        raise UndefinedMetricError(f"zero-norm truth channel {dead}")
-    per_channel = np.linalg.norm(pred - truth, axis=0) / norms
-    return per_channel, float(per_channel.mean())
+        dead = np.argwhere(norms == 0.0)[0]
+        where = f" in sample {dead[0]}" if dead.size > 1 else ""
+        raise UndefinedMetricError(f"zero-norm truth channel {dead[-1]}{where}")
+    per_channel = np.linalg.norm(pred - truth, axis=-2) / norms
+    mean = per_channel.mean(axis=-1)
+    return per_channel, float(mean) if mean.ndim == 0 else mean
 
 
 def magnitude_consistency_loss(pred_components: np.ndarray,
@@ -359,21 +356,6 @@ class TrainReport:
     final_test: dict | None = None
 
 
-def _eval_split_metric(model, arts, dataset, idx, input_norm, target_norm,
-                       chunk=32) -> tuple[float, np.ndarray]:
-    """Mean over samples of the channel-mean relative L2, physical units."""
-    per_sample = np.empty(idx.size)
-    with no_grad():
-        for s in range(0, idx.size, chunk):
-            sel = idx[s:s + chunk]
-            u = input_norm.apply(dataset.inputs[sel])
-            pred = _physical_pred(forward(model, arts, u), target_norm).data
-            for j, i in enumerate(sel):
-                _, mean = relative_l2(pred[j], dataset.targets[i])
-                per_sample[s + j] = mean
-    return float(per_sample.mean()), per_sample
-
-
 def train(model: VirsoModel, dataset: Dataset, arts: GraphArtifacts,
           schedule: TrainSchedule, out_dir: Path | None = None
           ) -> tuple[TrainReport, Normalizer, Normalizer]:
@@ -438,8 +420,8 @@ def train(model: VirsoModel, dataset: Dataset, arts: GraphArtifacts,
             restore(params, best_params)
             break
         train_curve.append(epoch_loss / max(batches, 1))
-        val_metric, _ = _eval_split_metric(model, arts, dataset, val_idx,
-                                           input_norm, target_norm)
+        val_metric = evaluate(model, dataset, arts, input_norm, target_norm,
+                              split="val").mean
         val_curve.append(val_metric)
         if val_metric < best_val:
             best_val = val_metric
@@ -519,36 +501,25 @@ def nearest_rank_percentiles(values: np.ndarray) -> dict:
     }
 
 
-def predict_field(model: VirsoModel, arts: GraphArtifacts, u_q: np.ndarray,
-                  input_norm: Normalizer, target_norm: Normalizer) -> Prediction:
-    """Single-sample inference returning the de-normalized physical field."""
-    u = input_norm.apply(np.asarray(u_q, dtype=np.float64))[None, :]
-    with no_grad():
-        pred = _physical_pred(forward(model, arts, u), target_norm).data[0]
-    return Prediction(s=pred)
-
-
 def evaluate(model: VirsoModel, dataset: Dataset, arts: GraphArtifacts,
              input_norm: Normalizer, target_norm: Normalizer,
              split: str = "test") -> EvalReport:
+    """Physical-unit relative L2 of every sample in `split`, forward in chunks of 32."""
     idx = dataset.indices_of(split)
     if idx.size == 0:
         raise InvalidParameterError(f"split {split!r} is empty")
-    per_channel = np.zeros(dataset.channels)
+    per_channel = np.empty((idx.size, dataset.channels))
     per_sample = np.empty(idx.size)
     with no_grad():
         for s in range(0, idx.size, 32):
             sel = idx[s:s + 32]
             u = input_norm.apply(dataset.inputs[sel])
             pred = _physical_pred(forward(model, arts, u), target_norm).data
-            for j, i in enumerate(sel):
-                ch, mean = relative_l2(pred[j], dataset.targets[i])
-                per_channel += ch
-                per_sample[s + j] = mean
-    per_channel /= idx.size
+            per_channel[s:s + sel.size], per_sample[s:s + sel.size] = relative_l2(
+                pred, dataset.targets[sel])
     return EvalReport(
         split=split,
-        per_channel_mean=per_channel,
+        per_channel_mean=per_channel.sum(axis=0) / idx.size,
         mean=float(per_sample.mean()),
         percentiles=nearest_rank_percentiles(per_sample),
         per_sample=per_sample,

@@ -1,10 +1,16 @@
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from virso_kit.cli import main
+from virso_kit.cli import config_sections, load_config, main
+from virso_kit.graphs import load_graph
+from virso_kit.model import VirsoConfig, flop_count, load_checkpoint
+from virso_kit.synthetic import SynthSpec
+from virso_kit.training import TrainSchedule
 
 
 def micro_config(tmp_path: Path, **over) -> Path:
@@ -84,6 +90,10 @@ def test_full_micro_pipeline(tmp_path, capsys):
     assert gc["max_rel_err"] < 1e-4
     bench = json.loads((out / "bench_summary.json").read_text())
     assert bench["latency_ms_per_it"] > 0
+    # the spatial branch runs over the directed edges, GraphArtifacts.src
+    model, _ = load_checkpoint(out / "checkpoint.json")
+    src, _, _ = load_graph(out / "graph" / "graph.json").directed()
+    assert bench["flops"]["total"] == flop_count(model.config, n=90, e=src.size)["total"]
     resolved = json.loads((out / "config.resolved.json").read_text())
     assert resolved["seed"] == 0 and resolved["training"]["lr"] == 2e-3
 
@@ -131,6 +141,29 @@ def test_train_determinism_bit_identical_artifacts(tmp_path):
     ck_a = (outs[0] / "checkpoint.f32").read_bytes()
     ck_b = (outs[1] / "checkpoint.f32").read_bytes()
     assert ck_a == ck_b
+
+
+def test_eval_refuses_checkpoint_of_another_graph(tmp_path, capsys):
+    cfg = micro_config(tmp_path)
+    out = tmp_path / "run"
+    for cmd in ("gen-data", "prep-graph", "train"):
+        assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 0
+    trained_on = json.loads((out / "checkpoint.json").read_text())["graph_hash"]
+    assert main(["prep-graph", "--config", str(micro_config(tmp_path, graph={"k": 6})),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    on_disk = load_graph(out / "graph" / "graph.json").content_hash()
+    assert trained_on in err and on_disk in err and trained_on != on_disk
+
+
+def test_report_refuses_csv_without_scope(tmp_path, capsys):
+    inputs = tmp_path / "noscope.csv"
+    inputs.write_text("model,energy_j_per_it,latency_ms_per_it\nm1,1.0,2.0\n")
+    assert main(["report", "--inputs", str(inputs), "--out", str(tmp_path / "rep")]) == 1
+    assert "scope" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
 
 
 def test_report_command_reproduces_edp_column(tmp_path):
@@ -192,3 +225,32 @@ def test_defaults_follow_reference_schedule(tmp_path):
     assert tr["weight_decay"] == 1e-3
     assert tr["patience"] == 40
     assert tr["max_epochs"] == 500
+
+
+def test_config_sections_are_the_library_dataclass_fields(tmp_path):
+    library = {
+        "synth": (SynthSpec, {"seed"}),
+        "model": (VirsoConfig, {"output_channels", "input_width", "spatial_dim"}),
+        "training": (TrainSchedule, {"seed"}),
+    }
+    path = tmp_path / "min.json"
+    path.write_text(json.dumps({"schema_version": 1}))
+    cfg = load_config(path)
+    sections = config_sections()
+    for name, (cls, excluded) in library.items():
+        fields = {f.name: f.default for f in dataclasses.fields(cls)
+                  if f.name not in excluded}
+        assert set(sections[name]) == set(fields)
+        assert cfg[name] == fields
+        for key in excluded:
+            path.write_text(json.dumps({name: {key: 1}}))
+            with pytest.raises(ValueError, match="unknown config key"):
+                load_config(path)
+    path.write_text(json.dumps({"synth": {"a_range": [500, 600]},
+                                "training": {"lr": 1}}))
+    cfg = load_config(path)
+    assert cfg["synth"]["a_range"] == (500, 600) and cfg["training"]["lr"] == 1.0
+    assert isinstance(cfg["training"]["lr"], float)
+    path.write_text(json.dumps({"training": {"lr": True}}))
+    with pytest.raises(ValueError, match="must be float"):
+        load_config(path)

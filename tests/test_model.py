@@ -3,7 +3,7 @@ import pytest
 
 from virso_kit import autodiff as ad
 from virso_kit.autodiff import constant, grad_check, no_grad
-from virso_kit.errors import ConfigError, ShapeError
+from virso_kit.errors import ArtifactError, ConfigError, ShapeError
 from virso_kit.graphs import (
     PointCloud,
     anchor_embeddings,
@@ -466,3 +466,33 @@ def test_checkpoint_round_trip(tmp_path):
     a = predict(model, arts, u)
     b = predict(loaded, arts, u)
     assert np.max(np.abs(a - b)) < 1e-4  # float32 storage quantization
+
+
+def _corrupt_manifest(man, fault):
+    import json
+
+    doc = json.loads(man.read_text())
+    if fault == "missing":
+        doc["params"] = [e for e in doc["params"] if e["name"] != "lift.b"]
+    elif fault == "extra":
+        doc["params"].append({"name": "lift.extra", "shape": [1], "offset": 0})
+    else:
+        entry = next(e for e in doc["params"] if e["name"] == "lift.w")
+        entry["shape"] = entry["shape"][::-1]
+    man.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("fault", ["missing", "extra", "shape"])
+def test_checkpoint_manifest_must_match_architecture(tmp_path, fault):
+    man = save_checkpoint(VirsoModel(toy_config(), seed=23), tmp_path)
+    _corrupt_manifest(man, fault)
+    with pytest.raises(ArtifactError, match="lift"):
+        load_checkpoint(man)
+
+
+def test_checkpoint_truncated_blob_refused(tmp_path):
+    man = save_checkpoint(VirsoModel(toy_config(), seed=23), tmp_path)
+    blob = tmp_path / "checkpoint.f32"
+    blob.write_bytes(blob.read_bytes()[:-4])
+    with pytest.raises(ArtifactError, match="bytes"):
+        load_checkpoint(man)

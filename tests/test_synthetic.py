@@ -93,11 +93,11 @@ def test_dataset_generation_and_ratio():
     assert abs(ratio - 400 * 3 / 22) < 1e-12
     assert ratio >= 40
     # stored targets reproduce the closed form exactly
-    s0 = ds.sample(0)
-    t_in, v_in = s0.u_q[0], s0.u_q[1]
-    a = s0.u_q[2] / np.sin(np.pi * 1 / (spec.profile_len + 1))
+    u0 = ds.inputs[0]
+    t_in, v_in = u0[0], u0[1]
+    a = u0[2] / np.sin(np.pi * 1 / (spec.profile_len + 1))
     ref = manufactured_fields(pts.coords, a, t_in, v_in, spec)
-    assert np.max(np.abs(s0.s - ref)) < 1e-9
+    assert np.max(np.abs(ds.targets[0] - ref)) < 1e-9
     # inputs carry no coordinates: width is profile + 2 scalars only
     assert ds.inputs.shape[1] == spec.profile_len + 2
 

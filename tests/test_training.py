@@ -110,6 +110,19 @@ def test_relative_l2_zero_norm_channel():
         relative_l2(np.ones((4, 2)), np.stack([np.ones(4), np.zeros(4)], axis=1))
 
 
+def test_relative_l2_batch_matches_per_sample():
+    rng = np.random.default_rng(3)
+    pred, truth = rng.standard_normal((32, 400, 3)), rng.standard_normal((32, 400, 3))
+    per, mean = relative_l2(pred, truth)
+    assert per.shape == (32, 3) and mean.shape == (32,)
+    for b in range(32):
+        per_b, mean_b = relative_l2(pred[b], truth[b])
+        assert np.array_equal(per[b], per_b) and mean[b] == mean_b
+    truth[5, :, 1] = 0.0
+    with pytest.raises(UndefinedMetricError, match="channel 1 in sample 5"):
+        relative_l2(pred, truth)
+
+
 def test_magnitude_loss_consistent_components():
     rng = np.random.default_rng(2)
     comps = rng.standard_normal((7, 3))
