@@ -1,7 +1,8 @@
 """Binary blob + JSON manifest helpers.
 
 All numeric artifacts are stored as little-endian blobs next to a JSON
-manifest that names them. Floats are 32-bit on disk, 64-bit in memory.
+manifest that names them. Floats are 64-bit in memory and 32-bit on disk,
+except the eigenbasis, which is stored as 64-bit so that it reloads exactly.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 from .errors import ArtifactError
 
 F32 = "<f4"
+F64 = "<f8"
 U32 = "<u4"
 
 

@@ -298,14 +298,17 @@ def cmd_prep_graph(args) -> int:
     save_graph(graph, gdir)
     artifacts = ["graph/graph.json"]
     stats = degree_stats(graph)
+    solved = ""
     if cfg["model"]["variant"] != "spatial_only":
-        save_eigen_basis(_solve_basis(cfg, graph), gdir, graph.content_hash())
+        basis = _solve_basis(cfg, graph)
+        save_eigen_basis(basis, gdir, graph.content_hash())
         artifacts.append("graph/basis.json")
+        solved = f", {basis.m} modes in {basis.iterations} LOBPCG iterations"
     _write_json(gdir / "degree_stats.json", stats)
     _summary(out, "prep-graph", cfg, artifacts)
     print(f"prep-graph: {cfg['graph']['method']} graph, "
           f"{stats['edge_count']} edges, degrees "
-          f"[{stats['min_degree']}, {stats['max_degree']}] -> {gdir}")
+          f"[{stats['min_degree']}, {stats['max_degree']}]{solved} -> {gdir}")
     return 0
 
 

@@ -443,7 +443,8 @@ def load_checkpoint(manifest_path: Path) -> tuple[VirsoModel, str | None]:
     """Model and graph hash from `save_checkpoint` output.
 
     The manifest must list exactly the architecture's parameters with
-    their shapes, and the blob must hold exactly their values.
+    their shapes and the offsets `save_checkpoint` gives them, and the blob
+    must hold exactly their values.
     """
     manifest_path = Path(manifest_path)
     man = read_manifest(manifest_path)
@@ -462,11 +463,17 @@ def load_checkpoint(manifest_path: Path) -> tuple[VirsoModel, str | None]:
     if len(raw) != expected:
         raise ArtifactError(f"{man['blob']} holds {len(raw)} bytes, "
                             f"the parameters need {expected}")
-    for name, entry in entries.items():
-        shape = tuple(entry["shape"])
+    offset = 0
+    for name in sorted(entries):
+        entry, shape = entries[name], tuple(entries[name]["shape"])
         if shape != model.params[name].data.shape:
             raise ArtifactError(f"checkpoint parameter {name!r} has shape {shape}, "
                                 f"architecture expects {model.params[name].data.shape}")
-        arr = np.frombuffer(raw, dtype=F32, count=int(np.prod(shape)), offset=entry["offset"])
+        # save_checkpoint packs the parameters back to back in sorted-name order
+        if entry["offset"] != offset:
+            raise ArtifactError(f"checkpoint parameter {name!r} is at byte offset "
+                                f"{entry['offset']}, save_checkpoint puts it at {offset}")
+        arr = np.frombuffer(raw, dtype=F32, count=int(np.prod(shape)), offset=offset)
         model.params[name].data = arr.astype(np.float64).reshape(shape)
+        offset += arr.size * 4
     return model, man.get("graph_hash")

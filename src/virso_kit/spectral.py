@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blobio import F32, read_blob, read_manifest, write_blob, write_manifest
+from .blobio import F64, read_blob, read_manifest, write_blob, write_manifest
 from .errors import (
     ArtifactError,
     ConvergenceError,
@@ -45,7 +45,8 @@ class SparseLaplacian:
             x = x[:, None]
         if x.shape[0] != self.n:
             raise ShapeError(f"operand has {x.shape[0]} rows, Laplacian is {self.n}")
-        prods = self.data[:, None] * x[self.indices]
+        prods = x[self.indices]
+        prods *= self.data[:, None]
         # every row holds at least the diagonal, so reduceat segments are valid
         out = np.add.reduceat(prods, self.indptr[:-1], axis=0)
         return out[:, 0] if squeeze else out
@@ -66,10 +67,17 @@ class SparseLaplacian:
 
 @dataclass(frozen=True)
 class EigenBasis:
-    """The m lowest eigenpairs: column-orthonormal q (n x m), ascending sigma."""
+    """The m lowest eigenpairs: column-orthonormal q (n x m), ascending sigma.
+
+    An iterative solver also records its iteration count and the worst
+    residual seen before each iteration and at the end; a direct solve
+    leaves both unset.
+    """
 
     q: np.ndarray
     sigma: np.ndarray
+    iterations: int | None = None
+    residual_history: tuple[float, ...] | None = None
 
     @property
     def n(self) -> int:
@@ -154,14 +162,23 @@ def lobpcg_smallest(
     tol: float = 1e-10,
     max_iter: int = 500,
     seed: int = 0,
-    preconditioner: str = "none",
     largest: bool = False,
 ) -> EigenBasis:
     """m extremal eigenpairs via LOBPCG with a seeded random initial block.
 
+    Each iteration applies the operand once, to the new residual block W
+    only. The search block S = [X, P, W] is kept orthonormal (W against
+    [X, P], and P against X in the small coefficient space of the
+    Rayleigh-Ritz step, after Hetmaniuk & Lehoucq 2006), so L X and L P
+    are carried through the same orthonormal updates as X and P and drift
+    by round-off only. When the carried residuals meet the tolerance, L X
+    is recomputed explicitly and the test repeated; only that explicit
+    check ends the iteration.
+
     Convergence requires per-pair residuals ||L q - sigma q|| <= tol * max(1, sigma).
-    `largest=True` selects the m highest eigenvalues instead of the lowest
-    (kept for empirical comparison; the low modes are the default basis).
+    The operand needs only `.n` and `@`. `largest=True` selects the m
+    highest eigenvalues instead of the lowest (kept for empirical
+    comparison; the low modes are the default basis).
     """
     n = laplacian.n
     if not (1 <= m <= max(1, n // 4)):
@@ -170,16 +187,6 @@ def lobpcg_smallest(
         )
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
-    if preconditioner not in ("none", "jacobi"):
-        raise InvalidParameterError(f"unknown preconditioner {preconditioner!r}")
-    if preconditioner == "jacobi":
-        rows, cols, vals = laplacian.entries()
-        diag = np.zeros(n)
-        diag[rows[rows == cols]] = vals[rows == cols]
-        inv_diag = 1.0 / np.where(diag == 0.0, 1.0, diag)
-        apply_prec = lambda r: inv_diag[:, None] * r
-    else:
-        apply_prec = lambda r: r
 
     sel = slice(-m, None) if largest else slice(0, m)
     rng = np.random.default_rng(seed)
@@ -192,39 +199,45 @@ def lobpcg_smallest(
     theta, z = np.linalg.eigh((t + t.T) / 2)
     theta, z = theta[sel], z[:, sel]
     x, ax = x @ z, ax @ z
-    p = None
-    worst = np.inf
-    for _ in range(max_iter):
+    p = ap = np.zeros((n, 0))
+    history: list[float] = []
+    for it in range(max_iter):
+        bound = tol * np.maximum(1.0, np.abs(theta))
         r = ax - x * theta
         norms = np.linalg.norm(r, axis=0)
-        worst = float(norms.max())
-        if np.all(norms <= tol * np.maximum(1.0, np.abs(theta))):
+        if np.all(norms <= bound):
+            # certify against an explicit product, not the carried one
+            ax = laplacian @ x
+            r = ax - x * theta
+            norms = np.linalg.norm(r, axis=0)
+        history.append(float(norms.max()))
+        if np.all(norms <= bound):
             order = np.argsort(theta)
-            return EigenBasis(q=_fix_signs(x[:, order]), sigma=theta[order])
-        w = _ortho_against(x, apply_prec(r))
+            return EigenBasis(q=_fix_signs(x[:, order]), sigma=theta[order],
+                              iterations=it, residual_history=tuple(history))
+        w = _ortho_against(np.concatenate([x, p], axis=1), r)
         if w.shape[1] == 0:
             raise ConvergenceError(
-                f"LOBPCG stagnated above tolerance (worst residual {worst:.3e})",
-                worst_residual=worst,
+                f"LOBPCG stagnated above tolerance (worst residual {history[-1]:.3e})",
+                worst_residual=history[-1],
             )
-        if p is not None and p.size:
-            xw = np.concatenate([x, w], axis=1)
-            p_o = _ortho_against(xw, p)
-            s = np.concatenate([xw, p_o], axis=1)
-        else:
-            s = np.concatenate([x, w], axis=1)
-        as_ = laplacian @ s
+        s = np.concatenate([x, p, w], axis=1)
+        as_ = np.concatenate([ax, ap, laplacian @ w], axis=1)
         g = s.T @ as_
         evals, z = np.linalg.eigh((g + g.T) / 2)
         evals, z = evals[sel], z[:, sel]
         if evals.size < m:
             raise ConvergenceError("search subspace collapsed below m directions")
         # x occupies the first m columns of s, so rows m: of z give the
-        # contribution from [w, p]: the conjugate direction for the next step
-        x = s @ z
-        p = s[:, m:] @ z[m:, :] if s.shape[1] > m else None
+        # contribution from [p, w]: the conjugate direction for the next
+        # step, made orthonormal to z so that [x, p] stays orthonormal
+        y = z.copy()
+        y[:m] = 0.0
+        y = _ortho_against(z, y)
+        x, ax = s @ z, as_ @ z
+        p, ap = s @ y, as_ @ y
         theta = evals
-        ax = laplacian @ x
+    worst = history[-1] if history else np.inf
     raise ConvergenceError(
         f"LOBPCG did not converge in {max_iter} iterations (worst residual {worst:.3e})",
         worst_residual=worst,
@@ -269,9 +282,9 @@ def save_eigen_basis(
 ) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    q_blob, s_blob = f"{name}_q.f32", f"{name}_sigma.f32"
-    write_blob(out_dir / q_blob, basis.q, F32)
-    write_blob(out_dir / s_blob, basis.sigma, F32)
+    q_blob, s_blob = f"{name}_q.f64", f"{name}_sigma.f64"
+    write_blob(out_dir / q_blob, basis.q, F64)
+    write_blob(out_dir / s_blob, basis.sigma, F64)
     write_manifest(
         out_dir / f"{name}.json",
         {
@@ -280,8 +293,10 @@ def save_eigen_basis(
             "m": basis.m,
             "graph_hash": graph_hash,
             "q_blob": q_blob,
-            "q_layout": "float32-le n x m row-major",
+            "q_layout": "float64-le n x m row-major",
             "sigma_blob": s_blob,
+            "iterations": basis.iterations,
+            "residual_history": basis.residual_history,
         },
     )
     return out_dir / f"{name}.json"
@@ -297,6 +312,9 @@ def load_eigen_basis(manifest_path: Path, expected_graph_hash: str | None = None
             "eigen basis was computed for a different graph "
             f"(cache key {man['graph_hash'][:12]}..., expected {expected_graph_hash[:12]}...)"
         )
-    q = read_blob(manifest_path.parent / man["q_blob"], F32, (man["n"], man["m"]))
-    sigma = read_blob(manifest_path.parent / man["sigma_blob"], F32, (man["m"],))
-    return EigenBasis(q=q.astype(np.float64), sigma=sigma.astype(np.float64))
+    q = read_blob(manifest_path.parent / man["q_blob"], F64, (man["n"], man["m"]))
+    sigma = read_blob(manifest_path.parent / man["sigma_blob"], F64, (man["m"],))
+    history = man.get("residual_history")
+    return EigenBasis(q=q.astype(np.float64), sigma=sigma.astype(np.float64),
+                      iterations=man.get("iterations"),
+                      residual_history=None if history is None else tuple(history))

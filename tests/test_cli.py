@@ -98,6 +98,25 @@ def test_full_micro_pipeline(tmp_path, capsys):
     assert resolved["seed"] == 0 and resolved["training"]["lr"] == 2e-3
 
 
+def test_prep_graph_records_solver_history(tmp_path, capsys):
+    from virso_kit.spectral import load_eigen_basis, normalized_laplacian
+
+    cfg = micro_config(tmp_path)
+    out = tmp_path / "run"
+    for cmd in ("gen-data", "prep-graph"):
+        assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 0
+    man = json.loads((out / "graph" / "basis.json").read_text())
+    assert man["iterations"] >= 1
+    assert f"in {man['iterations']} LOBPCG iterations" in capsys.readouterr().out
+    basis = load_eigen_basis(out / "graph" / "basis.json")
+    assert basis.iterations == man["iterations"]
+    assert basis.residual_history == tuple(man["residual_history"])
+    lap = normalized_laplacian(load_graph(out / "graph" / "graph.json"))
+    certified = np.linalg.norm(lap @ basis.q - basis.q * basis.sigma, axis=0).max()
+    assert man["residual_history"][-1] == pytest.approx(certified, rel=1e-6)
+    assert man["residual_history"][-1] <= 1e-10 * max(1.0, basis.sigma.max())
+
+
 def test_bench_with_telemetry_emits_report(tmp_path):
     cfg = micro_config(tmp_path)
     out = tmp_path / "run"

@@ -490,6 +490,20 @@ def test_checkpoint_manifest_must_match_architecture(tmp_path, fault):
         load_checkpoint(man)
 
 
+def test_checkpoint_swapped_offsets_refused(tmp_path):
+    import json
+
+    man = save_checkpoint(VirsoModel(toy_config(), seed=23), tmp_path)
+    doc = json.loads(man.read_text())
+    a, b = (next(e for e in doc["params"] if e["name"] == name)
+            for name in ("block0.collab_b1", "block0.ln_bias"))
+    assert a["shape"] == b["shape"]
+    a["offset"], b["offset"] = b["offset"], a["offset"]
+    man.write_text(json.dumps(doc))
+    with pytest.raises(ArtifactError, match="block0.collab_b1"):
+        load_checkpoint(man)
+
+
 def test_checkpoint_truncated_blob_refused(tmp_path):
     man = save_checkpoint(VirsoModel(toy_config(), seed=23), tmp_path)
     blob = tmp_path / "checkpoint.f32"

@@ -133,6 +133,27 @@ def test_lobpcg_largest_variant():
     assert np.max(np.abs(got.sigma - ref.sigma)) < 1e-8
 
 
+class CountingOperator:
+    """A Laplacian seen only through `.n` and `@`, recording each operand's width."""
+
+    def __init__(self, lap):
+        self.lap, self.n, self.widths = lap, lap.n, []
+
+    def __matmul__(self, x):
+        self.widths.append(x.shape[1])
+        return self.lap @ x
+
+
+def test_lobpcg_applies_laplacian_to_at_most_m_columns():
+    g, _ = random_knn_graph(200, 8, seed=7)
+    lap = normalized_laplacian(g)
+    op = CountingOperator(lap)
+    got = lobpcg_smallest(op, 12, tol=1e-10, seed=11)
+    assert max(op.widths) <= 12
+    ref = dense_eigen_reference(lap, 12)
+    assert np.max(np.abs(got.sigma - ref.sigma)) < 1e-8
+
+
 def test_lobpcg_deterministic_for_fixed_seed():
     g, _ = random_knn_graph(100, 5, seed=12)
     lap = normalized_laplacian(g)
@@ -251,6 +272,8 @@ def test_basis_save_load_and_hash_guard(tmp_path):
     man = save_eigen_basis(basis, tmp_path, g.content_hash())
     back = load_eigen_basis(man, expected_graph_hash=g.content_hash())
     assert back.m == 6 and back.n == 50
-    assert np.allclose(back.q, basis.q, atol=1e-6)
+    assert np.array_equal(back.q, basis.q)
+    assert np.array_equal(back.sigma, basis.sigma)
+    back.validate(lap)
     with pytest.raises(ArtifactError):
         load_eigen_basis(man, expected_graph_hash="0" * 64)
