@@ -216,22 +216,6 @@ def mul_rowvec(a: Value, row: Value) -> Value:
     return _node(a.data * r, (a, row), bwd)
 
 
-def scale_rows(a: Value, s: Value) -> Value:
-    """Scale each row of a (..., R, d) array by the (R, 1) per-row scalar."""
-    _want(
-        s.data.ndim == 2 and s.data.shape[1] == 1 and a.data.ndim >= 2
-        and s.data.shape[0] == a.data.shape[-2],
-        f"scale_rows: {a.data.shape} scaled by {s.data.shape}",
-    )
-
-    def bwd(g):
-        _accum(a, g * s.data)
-        ds = (g * a.data).sum(axis=-1, keepdims=True)
-        _accum(s, _sum_to(ds, s.data.shape))
-
-    return _node(a.data * s.data, (a, s), bwd)
-
-
 def concat_cols(a: Value, b: Value) -> Value:
     _want(
         a.data.shape[:-1] == b.data.shape[:-1],
@@ -267,66 +251,66 @@ def broadcast_rows(a: Value, n: int) -> Value:
     return _node(np.repeat(a.data[:, None, :], n, axis=1), (a,), bwd)
 
 
-# sort plans keyed by target-array identity; the stored reference keeps the
-# array alive so ids cannot be recycled
-_SEGMENT_PLANS: dict = {}
-
-
 def _segment_plan(targets: np.ndarray):
-    key = (id(targets), targets.shape[0])
-    hit = _SEGMENT_PLANS.get(key)
-    if hit is not None and hit[0] is targets:
-        return hit[1]
+    """Stable sort order, distinct bucket ids and segment starts of `targets` (>= 0)."""
     order = np.argsort(targets, kind="stable")
     st = targets[order]
-    starts = np.flatnonzero(np.r_[True, st[1:] != st[:-1]])
-    plan = (order, st[starts], starts)
-    if len(_SEGMENT_PLANS) > 64:
-        _SEGMENT_PLANS.clear()
-    _SEGMENT_PLANS[key] = (targets, plan)
-    return plan
+    starts = np.flatnonzero(np.diff(st, prepend=-1))
+    return order, st[starts], starts
 
 
-def _segment_sum(values: np.ndarray, targets: np.ndarray, n: int) -> np.ndarray:
-    """Sum rows of (..., E, d) into (..., n, d) buckets given by targets."""
-    out_shape = values.shape[:-2] + (n, values.shape[-1])
-    if targets.size == 0:
-        return np.zeros(out_shape)
-    order, bucket_ids, starts = _segment_plan(targets)
-    sv = np.take(values, order, axis=-2)
-    sums = np.add.reduceat(sv, starts, axis=-2)
-    out = np.zeros(out_shape)
-    out[..., bucket_ids, :] = sums
+def _segment_sum(values: np.ndarray, plan, n: int) -> np.ndarray:
+    """Sum rows of (..., E, d) into (..., n, d) buckets by a `_segment_plan`."""
+    order, bucket_ids, starts = plan
+    out = np.zeros(values.shape[:-2] + (n, values.shape[-1]))
+    if order.size:
+        sv = np.take(values, order, axis=-2)
+        out[..., bucket_ids, :] = np.add.reduceat(sv, starts, axis=-2)
     return out
 
 
-def gather_rows(v: Value, indices: np.ndarray) -> Value:
-    """Select rows along axis -2: (..., n, d) -> (..., E, d)."""
-    indices = np.asarray(indices, dtype=np.int64)
-    _want(indices.ndim == 1, "gather_rows: indices must be 1-d")
-    _want(v.data.ndim >= 2, f"gather_rows: input shape {v.data.shape}")
-    n = v.data.shape[-2]
-    _want(indices.size == 0 or (indices.min() >= 0 and indices.max() < n),
-          "gather_rows: index out of range")
+class EdgeList:
+    """Directed edges src[e] -> dst[e] over n nodes, with both segment plans.
+
+    Build once per graph: the plan by `dst` sums messages into receivers,
+    the plan by `src` sums their gradients back into senders.
+    """
+
+    __slots__ = ("src", "dst", "n", "by_dst", "by_src")
+
+    def __init__(self, src: np.ndarray, dst: np.ndarray, n: int):
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        _want(src.ndim == 1 and src.shape == dst.shape,
+              f"EdgeList: src {src.shape} and dst {dst.shape} must be equal-length 1-d")
+        _want(src.size == 0 or (min(src.min(), dst.min()) >= 0
+                                and max(src.max(), dst.max()) < n),
+              f"EdgeList: endpoint out of range [0, {n})")
+        self.src, self.dst, self.n = src, dst, int(n)
+        self.by_dst = _segment_plan(dst)
+        self.by_src = _segment_plan(src)
+
+
+def gated_aggregate(x: Value, gates: Value, edges: EdgeList) -> Value:
+    """Gated one-hop sum: out[.., v, :] = sum over edges u->v of gates[e] * x[.., u, :].
+
+    `x` is (..., n, d) and `gates` is (E, 1). Only node-sized arrays stay
+    on the tape; backward gathers the sender rows again.
+    """
+    src, dst, n = edges.src, edges.dst, edges.n
+    _want(x.data.ndim >= 2 and x.data.shape[-2] == n,
+          f"gated_aggregate: input {x.data.shape} over {n} nodes")
+    _want(gates.data.shape == (src.size, 1),
+          f"gated_aggregate: gates {gates.data.shape} for {src.size} edges")
 
     def bwd(g):
-        _accum(v, _segment_sum(g, indices, n))
+        g_dst = np.take(g, dst, axis=-2)
+        _accum(x, _segment_sum(g_dst * gates.data, edges.by_src, n))
+        dgates = (g_dst * np.take(x.data, src, axis=-2)).sum(axis=-1, keepdims=True)
+        _accum(gates, _sum_to(dgates, gates.data.shape))
 
-    return _node(np.take(v.data, indices, axis=-2), (v,), bwd)
-
-
-def scatter_add_rows(contributions: Value, targets: np.ndarray, n: int) -> Value:
-    """Sum contribution rows (..., E, d) into n target rows along axis -2."""
-    targets = np.asarray(targets, dtype=np.int64)
-    _want(targets.ndim == 1 and targets.size == contributions.data.shape[-2],
-          "scatter_add_rows: one target per contribution row")
-    _want(targets.size == 0 or (targets.min() >= 0 and targets.max() < n),
-          "scatter_add_rows: target out of range")
-
-    def bwd(g):
-        _accum(contributions, np.take(g, targets, axis=-2))
-
-    return _node(_segment_sum(contributions.data, targets, n), (contributions,), bwd)
+    gated = np.take(x.data, src, axis=-2) * gates.data
+    return _node(_segment_sum(gated, edges.by_dst, n), (x, gates), bwd)
 
 
 def mode1_product(k: Value, c: Value) -> Value:

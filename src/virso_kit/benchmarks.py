@@ -176,19 +176,18 @@ def make_report(model: str, scope: str, energy_j_per_it: float, latency_ms: floa
 
 
 def emit_report(reports: list[BenchReport], out_dir: Path | None = None,
-                name: str = "bench", allow_mixed_scope: bool = False) -> tuple[str, str]:
+                name: str = "bench") -> tuple[str, str]:
     """Comparison table as (json_text, csv_text); optionally written to disk.
 
-    Refuses to aggregate device- and board-scope rows unless explicitly
-    overridden: the telemetry domains are not directly comparable.
+    Refuses to aggregate device- and board-scope rows: the telemetry
+    domains are not directly comparable.
     """
     if not reports:
         raise InvalidParameterError("need at least one report")
     scopes = {r.scope for r in reports}
-    if len(scopes) > 1 and not allow_mixed_scope:
+    if len(scopes) > 1:
         raise InvalidParameterError(
-            "reports mix telemetry scopes "
-            f"{sorted(scopes)}: not directly comparable (pass allow_mixed_scope to force)"
+            f"reports mix telemetry scopes {sorted(scopes)}: not directly comparable"
         )
     rows = [asdict(r) for r in reports]
     json_text = json.dumps({"kind": "bench_report", "rows": rows}, indent=2) + "\n"

@@ -219,8 +219,10 @@ def _load_trained(cfg, args):
     """Checkpoint, graph artifacts and normalizers for `eval` and `bench`.
 
     The model section of `cfg` takes the checkpoint's architecture, and
-    the checkpoint must name the graph on disk.
+    the checkpoint must name the graph on disk and the anchors rebuilt
+    from `cfg` (when it records them).
     """
+    from .blobio import read_manifest
     from .errors import ArtifactError
     from .model import load_checkpoint
     from .training import Normalizer
@@ -236,6 +238,13 @@ def _load_trained(cfg, args):
         raise ArtifactError(
             f"checkpoint {ckpt} was trained on graph {graph_hash}, but "
             f"{_graph_dir(out) / 'graph.json'} is graph {arts.graph.content_hash()}"
+        )
+    trained_anchors = read_manifest(ckpt).get("anchor_ids")
+    anchors = arts.anchors.anchor_ids.tolist()
+    if trained_anchors is not None and trained_anchors != anchors:
+        raise ArtifactError(
+            f"checkpoint {ckpt} was trained with anchors {trained_anchors}, but "
+            f"graph.anchor_seed={cfg['graph']['anchor_seed']} gives anchors {anchors}"
         )
     norm_state = json.loads(_require(ckpt.parent / "normalizers.json", "train").read_text())
     return (model, ds, arts, Normalizer.from_state(norm_state["input"]),
@@ -334,7 +343,8 @@ def cmd_train(args) -> int:
     )
     from .model import save_checkpoint
 
-    save_checkpoint(model, out, graph_hash=arts.graph.content_hash())
+    save_checkpoint(model, out, graph_hash=arts.graph.content_hash(),
+                    anchor_ids=arts.anchors.anchor_ids)
     _write_json(out / "normalizers.json", {
         "input": input_norm.state(), "target": target_norm.state(),
     })

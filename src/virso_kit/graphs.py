@@ -381,18 +381,12 @@ def build_vknn(points: PointCloud, cfg: VknnConfig) -> Graph:
     """Density-adaptive KNN: node i gets k_i = max(alpha_floor*k_min, floor(k_max*d_i/d_max))."""
     if cfg.k_max >= points.n:
         raise InvalidParameterError(f"k_max must be < n, got k_max={cfg.k_max}, n={points.n}")
-    dens = estimate_density(points, cfg.density_radius)
-    d_max = int(dens.max())
-    if d_max == 0:
-        raise DegenerateGraphError(
-            f"all nodes isolated at density_radius={cfg.density_radius}: d_max = 0"
-        )
+    ks = vknn_k_of(cfg, estimate_density(points, cfg.density_radius))
     floor_k = cfg.alpha_floor * cfg.k_min
     if floor_k >= points.n:
         raise InvalidParameterError(
             f"alpha_floor*k_min = {floor_k} must be < n = {points.n}"
         )
-    ks = np.maximum(floor_k, (cfg.k_max * dens) // d_max).astype(np.int64)
     neigh = _knn_neighbor_lists(points, ks)
     src = np.repeat(np.arange(points.n), [a.size for a in neigh])
     dst = np.concatenate(neigh)
@@ -401,11 +395,14 @@ def build_vknn(points: PointCloud, cfg: VknnConfig) -> Graph:
 
 
 def vknn_k_of(cfg: VknnConfig, densities: np.ndarray) -> np.ndarray:
-    """The per-node neighbor-count rule, exposed for direct checking."""
+    """The per-node neighbor-count rule k_i of `build_vknn`."""
     d_max = int(np.max(densities))
     if d_max == 0:
-        raise DegenerateGraphError("d_max = 0")
-    return np.maximum(cfg.alpha_floor * cfg.k_min, (cfg.k_max * np.asarray(densities)) // d_max)
+        raise DegenerateGraphError(
+            f"all nodes isolated at density_radius={cfg.density_radius}: d_max = 0"
+        )
+    return np.maximum(cfg.alpha_floor * cfg.k_min,
+                      (cfg.k_max * np.asarray(densities)) // d_max).astype(np.int64)
 
 
 def compute_edge_weights(graph: Graph, points: PointCloud) -> Graph:

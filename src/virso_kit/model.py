@@ -100,6 +100,7 @@ class GraphArtifacts:
     dst: np.ndarray | None = None
     gate_base: np.ndarray | None = None  # [h_src || h_dst] per directed edge
     w_dir: np.ndarray | None = None      # (2E, 1) directed edge weights
+    edges: ad.EdgeList | None = None     # the same directed edges, planned
 
     @classmethod
     def prepare(cls, graph: Graph, coords: np.ndarray,
@@ -116,6 +117,7 @@ class GraphArtifacts:
             if w is None:
                 raise ConfigError("spatial branch requires edge weights on the graph")
             arts.src, arts.dst = src, dst
+            arts.edges = ad.EdgeList(src, dst, graph.n)
             h = anchors.h
             arts.gate_base = np.concatenate([h[src], h[dst]], axis=1)
             arts.w_dir = w[:, None]
@@ -224,32 +226,12 @@ def param_count(config: VirsoConfig) -> int:
 # forward pieces
 
 
-def embed_input(model: VirsoModel, u_q: np.ndarray) -> np.ndarray:
-    """Latent embedding of one boundary observation vector."""
-    u_q = np.asarray(u_q, dtype=np.float64)
-    if u_q.shape != (model.config.input_width,):
-        raise ShapeError(
-            f"input must have length {model.config.input_width}, got {u_q.shape}"
-        )
-    with no_grad():
-        return _embed(model, constant(u_q[None, :])).data[0]
-
-
 def _embed(model: VirsoModel, u: Value) -> Value:
     p = model.params
     if model.config.embed_hidden == 0:
         return ad.add_rowvec(ad.matmul(u, p["embed.w"]), p["embed.b"])
     h = ad.gelu(ad.add_rowvec(ad.matmul(u, p["embed.w1"]), p["embed.b1"]))
     return ad.add_rowvec(ad.matmul(h, p["embed.w2"]), p["embed.b2"])
-
-
-def assemble_node_features(coords: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Row i = concat(x_i, a); the embedding row is shared by all nodes."""
-    coords = np.asarray(coords, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64).ravel()
-    return np.concatenate(
-        [coords, np.repeat(a[None, :], coords.shape[0], axis=0)], axis=1
-    )
 
 
 def spectral_block(v: Value, qm: Value, qm_t: Value, kernel: Value,
@@ -272,11 +254,7 @@ def edge_gates(arts: GraphArtifacts, gate_w1: Value, gate_w2: Value,
 
 def spatial_block(v: Value, arts: GraphArtifacts, spat_w: Value,
                   gates: Value) -> Value:
-    n = arts.graph.n
-    messages = ad.gather_rows(ad.matmul(v, spat_w), arts.src)
-    gated = ad.scale_rows(messages, gates)
-    agg = ad.scatter_add_rows(gated, arts.dst, n)
-    return ad.l2_normalize_rows(agg)
+    return ad.l2_normalize_rows(ad.gated_aggregate(ad.matmul(v, spat_w), gates, arts.edges))
 
 
 def collaboration(v_spat: Value | None, v_spec: Value | None, model: VirsoModel,
@@ -412,7 +390,7 @@ def flop_count(config: VirsoConfig, n: int, e: int) -> dict:
 
 
 def save_checkpoint(model: VirsoModel, out_dir: Path, graph_hash: str | None = None,
-                    name: str = "checkpoint") -> Path:
+                    name: str = "checkpoint", anchor_ids: np.ndarray | None = None) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -432,6 +410,7 @@ def save_checkpoint(model: VirsoModel, out_dir: Path, graph_hash: str | None = N
             "schema_version": 1,
             "config": asdict(model.config),
             "graph_hash": graph_hash,
+            "anchor_ids": None if anchor_ids is None else [int(a) for a in anchor_ids],
             "blob": blob,
             "params": entries,
         },

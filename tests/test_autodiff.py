@@ -62,17 +62,18 @@ def test_mode1_identity_kernel():
     assert np.array_equal(out.data, c)
 
 
-def test_gather_scatter_adjointness_exact():
-    # integer-valued data keeps every product and sum exact in float64,
-    # so the adjoint identity must hold bit-for-bit
+def test_gated_aggregate_adjointness_exact():
+    # integer-valued data and gates keep every product and sum exact in
+    # float64, so <A x, y> == <x, A^T y> must hold bit-for-bit
     rng = np.random.default_rng(1)
     n, e, d = 9, 14, 5
-    v = rng.integers(-8, 9, size=(n, d)).astype(float)
-    c = rng.integers(-8, 9, size=(e, d)).astype(float)
-    idx = rng.integers(0, n, size=e)
-    lhs = float((ad.gather_rows(constant(v), idx).data * c).sum())
-    rhs = float((v * ad.scatter_add_rows(constant(c), idx, n).data).sum())
-    assert lhs == rhs
+    edges = ad.EdgeList(rng.integers(0, n, size=e), rng.integers(0, n, size=e), n)
+    gates = param(rng.integers(-3, 4, size=(e, 1)).astype(float))
+    x = param(rng.integers(-8, 9, size=(n, d)).astype(float))
+    y = rng.integers(-8, 9, size=(n, d)).astype(float)
+    out = ad.gated_aggregate(x, gates, edges)
+    backward(ad.sum_all(ad.elementwise_mul(out, constant(y))))
+    assert float((out.data * y).sum()) == float((x.data * x.grad).sum())
 
 
 def test_layer_norm_row_moments():
@@ -124,10 +125,8 @@ def test_fd_row_ops():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((2, 5, 4))
     row = rng.standard_normal((1, 4))
-    s = rng.standard_normal((5, 1))
     check_op(lambda x, r: ad.add_rowvec(x, r), [a, row])
     check_op(lambda x, r: ad.mul_rowvec(x, r), [a, row])
-    check_op(lambda x, v: ad.scale_rows(x, v), [a, s])
     check_op(lambda x: ad.broadcast_rows(x, 6), [rng.standard_normal((3, 4))])
 
 
@@ -138,13 +137,27 @@ def test_fd_concat_slice():
     check_op(lambda x: ad.slice_cols(x, 1, 3), [a])
 
 
-def test_fd_gather_scatter():
+def test_fd_gated_aggregate():
     rng = np.random.default_rng(7)
-    v = rng.standard_normal((2, 6, 3))
-    c = rng.standard_normal((2, 9, 3))
-    idx = rng.integers(0, 6, size=9)
-    check_op(lambda x: ad.gather_rows(x, idx), [v])
-    check_op(lambda x: ad.scatter_add_rows(x, idx, 6), [c])
+    n, e = 6, 9
+    dst = rng.integers(0, n - 1, size=e)  # node n - 1 has no in-edges
+    edges = ad.EdgeList(rng.integers(0, n, size=e), dst, n)
+    gates = rng.standard_normal((e, 1))
+    for x in (rng.standard_normal((n, 3)), rng.standard_normal((2, n, 3))):
+        check_op(lambda xx, gg: ad.gated_aggregate(xx, gg, edges), [x, gates])
+        assert not ad.gated_aggregate(constant(x), constant(gates), edges).data[..., n - 1, :].any()
+
+
+def test_gated_aggregate_rejects_bad_shapes():
+    edges = ad.EdgeList(np.array([0, 1, 2]), np.array([1, 2, 0]), 3)
+    x = constant(np.ones((2, 3, 4)))
+    with pytest.raises(ShapeError, match="gates"):
+        ad.gated_aggregate(x, constant(np.ones((2, 1))), edges)
+    with pytest.raises(ShapeError, match="nodes"):
+        ad.gated_aggregate(constant(np.ones((2, 4, 4))), constant(np.ones((3, 1))), edges)
+    for src, dst in (([0, 3], [1, 2]), ([0, 1], [-1, 2])):
+        with pytest.raises(ShapeError, match="out of range"):
+            ad.EdgeList(np.array(src), np.array(dst), 3)
 
 
 def test_fd_mode1_product():

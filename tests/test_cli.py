@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from virso_kit.cli import config_sections, load_config, main
-from virso_kit.graphs import load_graph
+from virso_kit.graphs import anchor_embeddings, load_graph
 from virso_kit.model import VirsoConfig, flop_count, load_checkpoint
 from virso_kit.synthetic import SynthSpec
 from virso_kit.training import TrainSchedule
@@ -175,6 +175,23 @@ def test_eval_refuses_checkpoint_of_another_graph(tmp_path, capsys):
     err = capsys.readouterr().err
     on_disk = load_graph(out / "graph" / "graph.json").content_hash()
     assert trained_on in err and on_disk in err and trained_on != on_disk
+
+
+def test_eval_refuses_checkpoint_of_other_anchors(tmp_path, capsys):
+    cfg = micro_config(tmp_path)
+    out = tmp_path / "run"
+    for cmd in ("gen-data", "prep-graph", "train"):
+        assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 0
+    trained_with = json.loads((out / "checkpoint.json").read_text())["anchor_ids"]
+    capsys.readouterr()
+    (tmp_path / "other").mkdir()
+    other = micro_config(tmp_path / "other", graph={"anchor_seed": 5})
+    assert main(["eval", "--config", str(other), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    graph = load_graph(out / "graph" / "graph.json")
+    rebuilt = anchor_embeddings(graph, len(trained_with), seed=5).anchor_ids.tolist()
+    assert str(trained_with) in err and str(rebuilt) in err and trained_with != rebuilt
+    assert main(["eval", "--config", str(cfg), "--out", str(out)]) == 0
 
 
 def test_report_refuses_csv_without_scope(tmp_path, capsys):

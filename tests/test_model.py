@@ -14,9 +14,8 @@ from virso_kit.model import (
     GraphArtifacts,
     VirsoConfig,
     VirsoModel,
-    assemble_node_features,
+    _embed,
     edge_gates,
-    embed_input,
     flop_count,
     forward,
     load_checkpoint,
@@ -100,7 +99,8 @@ def test_embed_zero_weights_gives_zero():
     model = VirsoModel(toy_config(), seed=0)
     for name in ("embed.w1", "embed.b1", "embed.w2", "embed.b2"):
         model.params[name].data[:] = 0.0
-    a = embed_input(model, np.ones(7))
+    with no_grad():
+        a = _embed(model, constant(np.ones((1, 7)))).data[0]
     assert np.array_equal(a, np.zeros(5))
 
 
@@ -110,26 +110,15 @@ def test_embed_identity_single_layer_passthrough():
     model.params["embed.w"].data = np.eye(7)
     model.params["embed.b"].data[:] = 0.0
     u = np.arange(7.0)
-    assert np.array_equal(embed_input(model, u), u)
+    with no_grad():
+        assert np.array_equal(_embed(model, constant(u[None, :])).data[0], u)
 
 
 def test_embed_length_mismatch():
+    arts, _ = toy_artifacts()
     model = VirsoModel(toy_config(), seed=0)
-    with pytest.raises(ShapeError):
-        embed_input(model, np.ones(6))
-
-
-def test_assemble_node_features():
-    rng = np.random.default_rng(0)
-    coords = rng.uniform(0, 1, size=(4, 2))
-    a = rng.standard_normal(3)
-    x = assemble_node_features(coords, a)
-    assert x.shape == (4, 5)
-    for i in range(4):
-        assert np.array_equal(x[i], np.concatenate([coords[i], a]))
-    assert np.all(x[:, 2:] == x[0, 2:])  # embedding columns constant down rows
-    single = assemble_node_features(coords[:1].repeat(2, 0) + [[0, 1]], a)
-    assert single.shape[0] == 2
+    with pytest.raises(ShapeError, match="inputs must be"):
+        forward(model, arts, np.ones((1, 6)))
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +239,31 @@ def test_spatial_block_matches_edge_loop_oracle():
     assert np.allclose(out.data, ref, atol=1e-12)
 
 
+def test_spatial_branch_keeps_nothing_edge_sized_on_the_tape():
+    from virso_kit.training import Normalizer, batch_loss
+
+    arts, _ = toy_artifacts()
+    model = VirsoModel(toy_config(), seed=8)
+    rng = np.random.default_rng(6)
+    truth = rng.standard_normal((4, 30, 3))
+    root = batch_loss(model, arts, rng.standard_normal((4, 7)), truth,
+                      Normalizer().fit(truth), divisor=4)
+    e = arts.src.size
+    stack, seen, held = [root], set(), []
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+        held.append(node.data)
+        if node._backward is not None:
+            held += [c.cell_contents for c in node._backward.__closure__ or ()
+                     if isinstance(c.cell_contents, np.ndarray)]
+    assert len(seen) > 50
+    assert not [a.shape for a in held if a.ndim == 3 and a.shape[-2] == e]
+
+
 def test_spatial_requires_weights():
     rng = np.random.default_rng(10)
     pts = PointCloud(rng.uniform(0, 1, size=(10, 2)))
@@ -324,7 +338,8 @@ def test_t0_is_pure_mlp_path():
                                   model.params["embed.b1"]))
         a = ad.add_rowvec(ad.matmul(a, model.params["embed.w2"]), model.params["embed.b2"])
     for b in range(3):
-        x = assemble_node_features(arts.coords, a.data[b])
+        x = np.concatenate([arts.coords, np.repeat(a.data[b:b + 1], len(arts.coords), axis=0)],
+                           axis=1)
         v = x @ model.params["lift.w"].data + model.params["lift.b"].data
         pre = v @ model.params["down.w1"].data + model.params["down.b1"].data
         act = 0.5 * pre * (1 + np.tanh(np.sqrt(2 / np.pi) * (pre + 0.044715 * pre**3)))
