@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidParameterError, ShapeError
+from .errors import InvalidParameterError, ShapeError, UndefinedMetricError
 
 _GRAD_ENABLED = True
 
@@ -230,17 +230,6 @@ def concat_cols(a: Value, b: Value) -> Value:
     return _node(np.concatenate([a.data, b.data], axis=-1), (a, b), bwd)
 
 
-def slice_cols(a: Value, start: int, stop: int) -> Value:
-    _want(0 <= start < stop <= a.data.shape[-1], f"slice_cols: [{start}:{stop}] of {a.data.shape}")
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        full[..., start:stop] = g
-        _accum(a, full)
-
-    return _node(a.data[..., start:stop].copy(), (a,), bwd)
-
-
 def broadcast_rows(a: Value, n: int) -> Value:
     """Insert a repeated axis: (B, d) -> (B, n, d)."""
     _want(a.data.ndim == 2, f"broadcast_rows: need 2-d input, got {a.data.shape}")
@@ -370,16 +359,6 @@ def sigmoid(a: Value) -> Value:
     return _node(out, (a,), bwd)
 
 
-def sqrt(a: Value) -> Value:
-    """Elementwise square root; inputs must be positive where grads matter."""
-    out = np.sqrt(a.data)
-
-    def bwd(g):
-        _accum(a, g * 0.5 / out)
-
-    return _node(out, (a,), bwd)
-
-
 def sum_all(a: Value) -> Value:
     shape = a.data.shape
 
@@ -387,17 +366,6 @@ def sum_all(a: Value) -> Value:
         _accum(a, np.broadcast_to(g, shape).copy())
 
     return _node(a.data.sum(), (a,), bwd)
-
-
-def sum_last2(a: Value) -> Value:
-    """Reduce the last two axes: (B, n, c) -> (B,); (n, c) -> ()."""
-    _want(a.data.ndim >= 2, f"sum_last2: need >= 2 axes, got {a.data.shape}")
-    shape = a.data.shape
-
-    def bwd(g):
-        _accum(a, np.broadcast_to(np.reshape(g, g.shape + (1, 1)), shape).copy())
-
-    return _node(a.data.sum(axis=(-2, -1)), (a,), bwd)
 
 
 def layer_norm_rows(a: Value, gain: Value, bias: Value, eps: float = 1e-12) -> Value:
@@ -438,6 +406,29 @@ def l2_normalize_rows(a: Value, eps: float = 1e-12) -> Value:
         _accum(a, g / denom - a.data * corr)
 
     return _node(out, (a,), bwd)
+
+
+def relative_l2_cols(pred: Value, truth: np.ndarray) -> Value:
+    """Per-channel relative L2 over the node axis: (..., n, C) -> (..., C).
+
+    out[..., c] = ||pred[..., :, c] - truth[..., :, c]|| / ||truth[..., :, c]||.
+    `truth` is a plain array and gets no gradient.
+    """
+    truth = np.asarray(truth, dtype=np.float64)
+    _want(pred.data.ndim >= 2 and pred.data.shape == truth.shape,
+          f"relative_l2_cols: shapes {pred.data.shape} vs {truth.shape}")
+    norms = np.linalg.norm(truth, axis=-2)
+    if np.any(norms == 0.0):
+        dead = np.argwhere(norms == 0.0)[0]
+        where = f" in sample {dead[0]}" if dead.size > 1 else ""
+        raise UndefinedMetricError(f"zero-norm truth channel {dead[-1]}{where}")
+    diff = pred.data - truth
+    dist = np.linalg.norm(diff, axis=-2)
+
+    def bwd(g):
+        _accum(pred, diff * (g / (dist * norms))[..., None, :])
+
+    return _node(dist / norms, (pred,), bwd)
 
 
 # ---------------------------------------------------------------------------

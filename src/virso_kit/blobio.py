@@ -2,7 +2,8 @@
 
 All numeric artifacts are stored as little-endian blobs next to a JSON
 manifest that names them. Floats are 64-bit in memory and 32-bit on disk,
-except the eigenbasis, which is stored as 64-bit so that it reloads exactly.
+except the eigenbasis and the model parameters, which are stored as 64-bit
+so that they reload exactly.
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ import json
 import logging
 import os
 import sys
-import types
 import typing
 from pathlib import Path
 
@@ -71,8 +70,6 @@ def _check_value(val, want, where: str):
     float and a JSON list for a tuple, and a bool is never a number."""
     if val is None:
         return None
-    if typing.get_origin(want) in (typing.Union, types.UnionType):
-        want = next(a for a in typing.get_args(want) if a is not type(None))
     if want is tuple or typing.get_origin(want) is tuple:
         if not isinstance(val, list):
             raise _CliConfigError(f"config key {where!r} must be list")

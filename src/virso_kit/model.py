@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Value, constant, no_grad, param
-from .blobio import F32, read_manifest, write_manifest
+from .blobio import F64, read_manifest, write_manifest
 from .errors import ArtifactError, ConfigError, ShapeError
 from .graphs import AnchorEmbedding, Graph
 from .spectral import EigenBasis
@@ -273,13 +273,8 @@ def collaboration(v_spat: Value | None, v_spec: Value | None, model: VirsoModel,
     return ad.add(y, v_prev) if c.use_identity_skip else y
 
 
-def forward(model: VirsoModel, arts: GraphArtifacts, u_batch: np.ndarray,
-            gate_override: np.ndarray | None = None) -> Value:
-    """Batched forward pass: (B, q) inputs -> (B, n, C) field, normalized space.
-
-    `gate_override` replaces every block's learned edge gates with fixed
-    values (test hook).
-    """
+def forward(model: VirsoModel, arts: GraphArtifacts, u_batch: np.ndarray) -> Value:
+    """Batched forward pass: (B, q) inputs -> (B, n, C) field, normalized space."""
     c = model.config
     u_batch = np.asarray(u_batch, dtype=np.float64)
     if u_batch.ndim != 2 or u_batch.shape[1] != c.input_width:
@@ -321,12 +316,8 @@ def forward(model: VirsoModel, arts: GraphArtifacts, u_batch: np.ndarray,
                     p[f"block{t}.ln_gain"], p[f"block{t}.ln_bias"],
                 )
             if c.has_spatial:
-                if gate_override is not None:
-                    gates = constant(np.broadcast_to(
-                        gate_override, (arts.src.shape[0], 1)).copy())
-                else:
-                    gates = edge_gates(arts, p[f"block{t}.gate_w1"],
-                                       p[f"block{t}.gate_w2"], p[f"block{t}.gate_w3"])
+                gates = edge_gates(arts, p[f"block{t}.gate_w1"],
+                                   p[f"block{t}.gate_w2"], p[f"block{t}.gate_w3"])
                 v_spat = spatial_block(v, arts, p[f"block{t}.spat_w"], gates)
             v = collaboration(v_spat, v_spec, model, t, v)
         except (ShapeError, ConfigError) as err:
@@ -399,9 +390,9 @@ def save_checkpoint(model: VirsoModel, out_dir: Path, graph_hash: str | None = N
     for pname in sorted(model.params):
         arr = model.params[pname].data
         entries.append({"name": pname, "shape": list(arr.shape), "offset": offset})
-        chunks.append(np.ascontiguousarray(arr, dtype=F32))
-        offset += arr.size * 4
-    blob = f"{name}.f32"
+        chunks.append(np.ascontiguousarray(arr, dtype=F64))
+        offset += arr.size * 8
+    blob = f"{name}.f64"
     (out_dir / blob).write_bytes(b"".join(ch.tobytes() for ch in chunks))
     write_manifest(
         out_dir / f"{name}.json",
@@ -438,7 +429,7 @@ def load_checkpoint(manifest_path: Path) -> tuple[VirsoModel, str | None]:
         raise ArtifactError(f"{manifest_path}: parameters missing {missing}, "
                             f"not in architecture {extra}")
     raw = (manifest_path.parent / man["blob"]).read_bytes()
-    expected = 4 * model.num_params()
+    expected = 8 * model.num_params()
     if len(raw) != expected:
         raise ArtifactError(f"{man['blob']} holds {len(raw)} bytes, "
                             f"the parameters need {expected}")
@@ -452,7 +443,7 @@ def load_checkpoint(manifest_path: Path) -> tuple[VirsoModel, str | None]:
         if entry["offset"] != offset:
             raise ArtifactError(f"checkpoint parameter {name!r} is at byte offset "
                                 f"{entry['offset']}, save_checkpoint puts it at {offset}")
-        arr = np.frombuffer(raw, dtype=F32, count=int(np.prod(shape)), offset=offset)
-        model.params[name].data = arr.astype(np.float64).reshape(shape)
-        offset += arr.size * 4
+        arr = np.frombuffer(raw, dtype=F64, count=int(np.prod(shape)), offset=offset)
+        model.params[name].data = arr.reshape(shape).copy()
+        offset += arr.size * 8
     return model, man.get("graph_hash")

@@ -162,9 +162,8 @@ def lobpcg_smallest(
     tol: float = 1e-10,
     max_iter: int = 500,
     seed: int = 0,
-    largest: bool = False,
 ) -> EigenBasis:
-    """m extremal eigenpairs via LOBPCG with a seeded random initial block.
+    """m smallest eigenpairs via LOBPCG with a seeded random initial block.
 
     Each iteration applies the operand once, to the new residual block W
     only. The search block S = [X, P, W] is kept orthonormal (W against
@@ -176,9 +175,7 @@ def lobpcg_smallest(
     check ends the iteration.
 
     Convergence requires per-pair residuals ||L q - sigma q|| <= tol * max(1, sigma).
-    The operand needs only `.n` and `@`. `largest=True` selects the m
-    highest eigenvalues instead of the lowest (kept for empirical
-    comparison; the low modes are the default basis).
+    The operand needs only `.n` and `@`.
     """
     n = laplacian.n
     if not (1 <= m <= max(1, n // 4)):
@@ -188,7 +185,6 @@ def lobpcg_smallest(
     if tol <= 0:
         raise InvalidParameterError("tol must be positive")
 
-    sel = slice(-m, None) if largest else slice(0, m)
     rng = np.random.default_rng(seed)
     x = _orthonormal_columns(rng.standard_normal((n, m)))
     if x.shape[1] < m:
@@ -197,7 +193,7 @@ def lobpcg_smallest(
     ax = laplacian @ x
     t = x.T @ ax
     theta, z = np.linalg.eigh((t + t.T) / 2)
-    theta, z = theta[sel], z[:, sel]
+    theta, z = theta[:m], z[:, :m]
     x, ax = x @ z, ax @ z
     p = ap = np.zeros((n, 0))
     history: list[float] = []
@@ -225,7 +221,7 @@ def lobpcg_smallest(
         as_ = np.concatenate([ax, ap, laplacian @ w], axis=1)
         g = s.T @ as_
         evals, z = np.linalg.eigh((g + g.T) / 2)
-        evals, z = evals[sel], z[:, sel]
+        evals, z = evals[:m], z[:, :m]
         if evals.size < m:
             raise ConvergenceError("search subspace collapsed below m directions")
         # x occupies the first m columns of s, so rows m: of z give the
@@ -244,8 +240,8 @@ def lobpcg_smallest(
     )
 
 
-def dense_eigen_reference(laplacian: SparseLaplacian, m: int, largest: bool = False) -> EigenBasis:
-    """Exact m extremal eigenpairs from a full symmetric eigendecomposition."""
+def dense_eigen_reference(laplacian: SparseLaplacian, m: int) -> EigenBasis:
+    """Exact m smallest eigenpairs from a full symmetric eigendecomposition."""
     if laplacian.n > 2000:
         raise InvalidParameterError(
             f"n = {laplacian.n} too large for the dense reference (limit 2000); "
@@ -254,11 +250,7 @@ def dense_eigen_reference(laplacian: SparseLaplacian, m: int, largest: bool = Fa
     if not (1 <= m <= laplacian.n):
         raise InvalidParameterError(f"need 1 <= m <= n, got m={m}")
     evals, evecs = np.linalg.eigh(laplacian.to_dense())
-    if largest:
-        evals, evecs = evals[-m:], evecs[:, -m:]
-    else:
-        evals, evecs = evals[:m], evecs[:, :m]
-    return EigenBasis(q=_fix_signs(evecs), sigma=evals)
+    return EigenBasis(q=_fix_signs(evecs[:, :m]), sigma=evals[:m])
 
 
 def gft(basis: EigenBasis, v: np.ndarray) -> np.ndarray:

@@ -20,11 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Value, constant, no_grad
 from .blobio import F32, read_blob, read_manifest, write_blob, write_manifest
-from .errors import (
-    ArtifactError,
-    InvalidParameterError,
-    UndefinedMetricError,
-)
+from .errors import ArtifactError, InvalidParameterError
 from .graphs import PointCloud, load_point_cloud, save_point_cloud
 from .model import GraphArtifacts, VirsoModel, forward
 from .optim import AdamState, adam_step, restore, snapshot, zero_grads
@@ -245,33 +241,15 @@ def relative_l2(pred: np.ndarray, truth: np.ndarray
     """Per-channel ||pred_o - truth_o|| / ||truth_o|| and their mean.
 
     Fields are (n, C), or (B, n, C) for a batch; a batch gives (B, C)
-    per-channel errors and (B,) means.
+    per-channel errors and (B,) means. The errors come from
+    `ad.relative_l2_cols`, the op `batch_loss` trains on.
     """
     pred, truth = np.asarray(pred), np.asarray(truth)
     if pred.shape != truth.shape:
         raise InvalidParameterError(f"shape mismatch {pred.shape} vs {truth.shape}")
-    norms = np.linalg.norm(truth, axis=-2)
-    if np.any(norms == 0.0):
-        dead = np.argwhere(norms == 0.0)[0]
-        where = f" in sample {dead[0]}" if dead.size > 1 else ""
-        raise UndefinedMetricError(f"zero-norm truth channel {dead[-1]}{where}")
-    per_channel = np.linalg.norm(pred - truth, axis=-2) / norms
+    per_channel = ad.relative_l2_cols(constant(pred), truth).data
     mean = per_channel.mean(axis=-1)
     return per_channel, float(mean) if mean.ndim == 0 else mean
-
-
-def magnitude_consistency_loss(pred_components: np.ndarray,
-                               truth_magnitude: np.ndarray) -> float:
-    """|| sum of squared predicted components - u^2 || / || u^2 ||."""
-    pred_components = np.asarray(pred_components)
-    if pred_components.ndim != 2 or pred_components.shape[1] != 3:
-        raise InvalidParameterError("need exactly 3 velocity component channels")
-    u2 = np.asarray(truth_magnitude) ** 2
-    den = np.linalg.norm(u2)
-    if den == 0.0:
-        raise UndefinedMetricError("zero-norm squared velocity magnitude")
-    num = np.linalg.norm((pred_components**2).sum(axis=1) - u2)
-    return float(num / den)
 
 
 # ---------------------------------------------------------------------------
@@ -284,44 +262,14 @@ def _physical_pred(pred_norm: Value, target_norm: Normalizer) -> Value:
 
 
 def batch_loss(model: VirsoModel, arts: GraphArtifacts, u_norm: np.ndarray,
-               truth_phys: np.ndarray, target_norm: Normalizer,
-               divisor: int, magnitude_channels: tuple | None = None,
-               magnitude_weight: float = 0.1) -> Value:
-    """Channel-summed mean relative L2 in physical units, differentiable.
+               truth_phys: np.ndarray, target_norm: Normalizer, divisor: int) -> Value:
+    """Channel-summed relative L2 in physical units over the batch, / `divisor`.
 
     `divisor` is the effective batch size (supports gradient accumulation
     across micro-batches).
     """
     pred = _physical_pred(forward(model, arts, u_norm), target_norm)
-    norms = np.linalg.norm(truth_phys, axis=1)  # (B, C)
-    if np.any(norms == 0.0):
-        raise UndefinedMetricError("zero-norm truth channel in batch")
-    total = None
-    for o in range(truth_phys.shape[2]):
-        diff = ad.sub(ad.slice_cols(pred, o, o + 1),
-                      constant(truth_phys[:, :, o:o + 1]))
-        ss = ad.sum_last2(ad.elementwise_mul(diff, diff))  # (B,)
-        rel = ad.elementwise_mul(ad.sqrt(ss), constant(1.0 / norms[:, o]))
-        term = ad.scalar_mul(ad.sum_all(rel), 1.0 / divisor)
-        total = term if total is None else ad.add(total, term)
-    if magnitude_channels is not None:
-        i1, i2, i3 = magnitude_channels
-        comps_true = truth_phys[:, :, [i1, i2, i3]]
-        u2 = (comps_true**2).sum(axis=2)  # (B, n)
-        u2_norm = np.linalg.norm(u2, axis=1)  # (B,)
-        if np.any(u2_norm == 0.0):
-            raise UndefinedMetricError("zero-norm squared velocity magnitude in batch")
-        sq = None
-        for idx in (i1, i2, i3):
-            comp = ad.slice_cols(pred, idx, idx + 1)
-            comp2 = ad.elementwise_mul(comp, comp)
-            sq = comp2 if sq is None else ad.add(sq, comp2)
-        diff = ad.sub(sq, constant(u2[:, :, None]))
-        ss = ad.sum_last2(ad.elementwise_mul(diff, diff))
-        rel = ad.elementwise_mul(ad.sqrt(ss), constant(1.0 / u2_norm))
-        mag = ad.scalar_mul(ad.sum_all(rel), magnitude_weight / divisor)
-        total = ad.add(total, mag)
-    return total
+    return ad.scalar_mul(ad.sum_all(ad.relative_l2_cols(pred, truth_phys)), 1.0 / divisor)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +288,6 @@ class TrainSchedule:
     accum_steps: int = 1
     seed: int = 0
     target_norm_mode: str = "minmax"
-    magnitude_channels: tuple | None = None
-    magnitude_weight: float = 0.1
 
 
 @dataclass
@@ -404,8 +350,6 @@ def train(model: VirsoModel, dataset: Dataset, arts: GraphArtifacts,
                 loss = batch_loss(
                     model, arts, input_norm.apply(dataset.inputs[msel]),
                     dataset.targets[msel], target_norm, divisor=sel.size,
-                    magnitude_channels=schedule.magnitude_channels,
-                    magnitude_weight=schedule.magnitude_weight,
                 )
                 ad.backward(loss)
                 batch_total += float(loss.data)

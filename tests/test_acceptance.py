@@ -344,8 +344,8 @@ def test_criterion_10_training_determinism(tmp_path):
         outs.append(out)
     curve_a = (outs[0] / "loss_curve.csv").read_bytes()
     curve_b = (outs[1] / "loss_curve.csv").read_bytes()
-    ckpt_a = (outs[0] / "checkpoint.f32").read_bytes()
-    ckpt_b = (outs[1] / "checkpoint.f32").read_bytes()
+    ckpt_a = (outs[0] / "checkpoint.f64").read_bytes()
+    ckpt_b = (outs[1] / "checkpoint.f64").read_bytes()
     assert curve_a == curve_b
     assert ckpt_a == ckpt_b
     ok(10, f"two train runs: loss curves and checkpoints bit-identical "

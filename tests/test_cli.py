@@ -157,9 +157,21 @@ def test_train_determinism_bit_identical_artifacts(tmp_path):
     csv_a = (outs[0] / "loss_curve.csv").read_bytes()
     csv_b = (outs[1] / "loss_curve.csv").read_bytes()
     assert csv_a == csv_b
-    ck_a = (outs[0] / "checkpoint.f32").read_bytes()
-    ck_b = (outs[1] / "checkpoint.f32").read_bytes()
+    ck_a = (outs[0] / "checkpoint.f64").read_bytes()
+    ck_b = (outs[1] / "checkpoint.f64").read_bytes()
     assert ck_a == ck_b
+
+
+def test_eval_reproduces_final_test_exactly(tmp_path):
+    # parameters are stored as float64, so the reloaded model is the trained one
+    cfg = micro_config(tmp_path)
+    out = tmp_path / "run"
+    for cmd in ("gen-data", "prep-graph", "train", "eval"):
+        assert main([cmd, "--config", str(cfg), "--out", str(out), "--threads", "1"]) == 0
+    final = json.loads((out / "train_report.json").read_text())["final_test"]
+    ev = json.loads((out / "eval_report.json").read_text())
+    assert ev["mean"] == final["mean"]
+    assert ev["per_sample"] == final["per_sample"]
 
 
 def test_eval_refuses_checkpoint_of_another_graph(tmp_path, capsys):

@@ -125,14 +125,6 @@ def test_lobpcg_weighted_laplacian_matches_dense():
     assert np.max(np.abs(got.sigma - ref.sigma)) < 1e-8
 
 
-def test_lobpcg_largest_variant():
-    g, _ = random_knn_graph(160, 6, seed=9)
-    lap = normalized_laplacian(g)
-    ref = dense_eigen_reference(lap, 8, largest=True)
-    got = lobpcg_smallest(lap, 8, tol=1e-10, seed=5, largest=True)
-    assert np.max(np.abs(got.sigma - ref.sigma)) < 1e-8
-
-
 class CountingOperator:
     """A Laplacian seen only through `.n` and `@`, recording each operand's width."""
 

@@ -7,16 +7,17 @@ from virso_kit.graphs import (
     build_knn,
     compute_edge_weights,
 )
-from virso_kit.model import GraphArtifacts, VirsoConfig, VirsoModel
+from virso_kit.model import GraphArtifacts, VirsoConfig, VirsoModel, forward
 from virso_kit.spectral import dense_eigen_reference, normalized_laplacian
 from virso_kit.synthetic import SynthSpec, generate_dataset
 from virso_kit.training import (
     Dataset,
     Normalizer,
     TrainSchedule,
+    _physical_pred,
+    batch_loss,
     evaluate,
     load_dataset,
-    magnitude_consistency_loss,
     nearest_rank_percentiles,
     relative_l2,
     save_dataset,
@@ -81,7 +82,7 @@ def test_split_errors():
 
 
 # ---------------------------------------------------------------------------
-# relative_l2 / magnitude loss
+# relative_l2 / the training loss
 
 
 def test_relative_l2_exact_and_scaled():
@@ -123,24 +124,15 @@ def test_relative_l2_batch_matches_per_sample():
         relative_l2(pred, truth)
 
 
-def test_magnitude_loss_consistent_components():
-    rng = np.random.default_rng(2)
-    comps = rng.standard_normal((7, 3))
-    u = np.linalg.norm(comps, axis=1)
-    assert magnitude_consistency_loss(comps, u) < 1e-12
-
-
-def test_magnitude_loss_matches_direct_evaluation():
-    rng = np.random.default_rng(3)
-    pred = rng.standard_normal((4, 3))
-    truth = rng.standard_normal((4, 3))
-    u = np.linalg.norm(truth, axis=1)
-    got = magnitude_consistency_loss(pred, u)
-    u2 = u**2
-    ref = np.linalg.norm((pred**2).sum(axis=1) - u2) / np.linalg.norm(u2)
-    assert np.isclose(got, ref, atol=1e-14)
-    with pytest.raises(UndefinedMetricError):
-        magnitude_consistency_loss(pred, np.zeros(4))
+def test_batch_loss_is_the_reported_metric():
+    # with divisor 1 the training loss is exactly the summed per-channel
+    # errors `relative_l2` reports: one op computes both
+    ds, arts, model = tiny_setup()
+    target_norm = Normalizer().fit(ds.targets)
+    u, truth = ds.inputs[:10], ds.targets[:10]
+    loss = batch_loss(model, arts, u, truth, target_norm, divisor=1)
+    pred = _physical_pred(forward(model, arts, u), target_norm).data
+    assert float(loss.data) == relative_l2(pred, truth)[0].sum()
 
 
 # ---------------------------------------------------------------------------
