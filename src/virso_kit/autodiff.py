@@ -11,24 +11,24 @@ vectors along the last axis.
 
 from __future__ import annotations
 
+import contextvars
+
 import numpy as np
 
 from .errors import InvalidParameterError, ShapeError, UndefinedMetricError
 
-_GRAD_ENABLED = True
+# per thread and per asyncio task: no_grad in one caller leaves the others taping
+_GRAD_ENABLED = contextvars.ContextVar("virso_kit_grad_enabled", default=True)
 
 
 class no_grad:
     """Context manager that skips graph construction for cheap inference."""
 
     def __enter__(self):
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._token = _GRAD_ENABLED.set(False)
 
     def __exit__(self, *exc):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
+        _GRAD_ENABLED.reset(self._token)
         return False
 
 
@@ -70,7 +70,7 @@ def param(data, name=None) -> Value:
 
 def _node(data, parents, backward_fn) -> Value:
     out = Value(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _GRAD_ENABLED.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
@@ -240,29 +240,62 @@ def broadcast_rows(a: Value, n: int) -> Value:
     return _node(np.repeat(a.data[:, None, :], n, axis=1), (a,), bwd)
 
 
-def _segment_plan(targets: np.ndarray):
-    """Stable sort order, distinct bucket ids and segment starts of `targets` (>= 0)."""
-    order = np.argsort(targets, kind="stable")
-    st = targets[order]
-    starts = np.flatnonzero(np.diff(st, prepend=-1))
-    return order, st[starts], starts
+# A bucket takes receivers down to this share of its widest row's degree, so
+# every row is at least 3/4 full and a plan holds at most E / 0.75 slots.
+_BUCKET_FILL = 0.75
 
 
-def _segment_sum(values: np.ndarray, plan, n: int) -> np.ndarray:
-    """Sum rows of (..., E, d) into (..., n, d) buckets by a `_segment_plan`."""
-    order, bucket_ids, starts = plan
-    out = np.zeros(values.shape[:-2] + (n, values.shape[-1]))
-    if order.size:
-        sv = np.take(values, order, axis=-2)
-        out[..., bucket_ids, :] = np.add.reduceat(sv, starts, axis=-2)
+def _padded_plan(recv: np.ndarray, send: np.ndarray, n: int) -> list:
+    """Degree buckets of the edges into each receiver, widest rows first.
+
+    Each bucket is (rows, eid, peer): receiver ids, and (rows, width) tables of
+    edge ids and senders in edge order, padded with edge id E and sender n.
+    """
+    e = recv.size
+    order = np.argsort(recv, kind="stable")
+    deg = np.bincount(recv, minlength=n)
+    first = np.cumsum(deg) - deg
+    rows = np.argsort(-deg, kind="stable")[: np.count_nonzero(deg)]
+    neg = -deg[rows]
+    peer_of = np.append(send, n)
+    plan, i = [], 0
+    while i < rows.size:
+        width = -neg[i]
+        j = int(np.searchsorted(neg, -_BUCKET_FILL * width, side="right"))
+        r = rows[i:j]
+        slot = np.arange(width)
+        real = slot < deg[r, None]
+        eid = np.where(real, order[np.where(real, first[r, None] + slot, 0)], e)
+        plan.append((r, eid, peer_of[eid]))
+        i = j
+    return plan
+
+
+def _node_major(a: np.ndarray) -> np.ndarray:
+    """(..., n, d) -> (n + 1, prod(...) * d), with a zero row n.
+
+    Padding slots read row n with gate 0, so they add exactly 0 and a NaN in
+    one real row cannot reach another.
+    """
+    z = np.zeros((a.shape[-2] + 1,) + a.shape[:-2] + a.shape[-1:])
+    z[:-1] = np.moveaxis(a, -2, 0)
+    return z.reshape(z.shape[0], -1)
+
+
+def _padded_sum(wz: np.ndarray, zn: np.ndarray, plan: list, n: int) -> np.ndarray:
+    """out[v] = sum over v's slots of wz[eid] * zn[peer], one matmul per bucket."""
+    out = np.zeros((n, zn.shape[1]))
+    for rows, eid, peer in plan:
+        out[rows] = np.matmul(wz[eid][:, None, :], np.take(zn, peer, axis=0))[:, 0, :]
     return out
 
 
 class EdgeList:
-    """Directed edges src[e] -> dst[e] over n nodes, with both segment plans.
+    """Directed edges src[e] -> dst[e] over n nodes, with both padded plans.
 
-    Build once per graph: the plan by `dst` sums messages into receivers,
-    the plan by `src` sums their gradients back into senders.
+    Build once per graph: the plan by `dst` sums messages into receivers and
+    gives the gate gradient, the plan by `src` sums their gradients back into
+    senders.
     """
 
     __slots__ = ("src", "dst", "n", "by_dst", "by_src")
@@ -276,8 +309,8 @@ class EdgeList:
                                 and max(src.max(), dst.max()) < n),
               f"EdgeList: endpoint out of range [0, {n})")
         self.src, self.dst, self.n = src, dst, int(n)
-        self.by_dst = _segment_plan(dst)
-        self.by_src = _segment_plan(src)
+        self.by_dst = _padded_plan(dst, src, self.n)
+        self.by_src = _padded_plan(src, dst, self.n)
 
 
 def gated_aggregate(x: Value, gates: Value, edges: EdgeList) -> Value:
@@ -286,20 +319,25 @@ def gated_aggregate(x: Value, gates: Value, edges: EdgeList) -> Value:
     `x` is (..., n, d) and `gates` is (E, 1). Only node-sized arrays stay
     on the tape; backward gathers the sender rows again.
     """
-    src, dst, n = edges.src, edges.dst, edges.n
+    n = edges.n
     _want(x.data.ndim >= 2 and x.data.shape[-2] == n,
           f"gated_aggregate: input {x.data.shape} over {n} nodes")
-    _want(gates.data.shape == (src.size, 1),
-          f"gated_aggregate: gates {gates.data.shape} for {src.size} edges")
+    _want(gates.data.shape == (edges.src.size, 1),
+          f"gated_aggregate: gates {gates.data.shape} for {edges.src.size} edges")
+    shape = (n,) + x.data.shape[:-2] + x.data.shape[-1:]
+    wz = np.append(gates.data[:, 0], 0.0)
+    xz = _node_major(x.data)
 
     def bwd(g):
-        g_dst = np.take(g, dst, axis=-2)
-        _accum(x, _segment_sum(g_dst * gates.data, edges.by_src, n))
-        dgates = (g_dst * np.take(x.data, src, axis=-2)).sum(axis=-1, keepdims=True)
-        _accum(gates, _sum_to(dgates, gates.data.shape))
+        gz = _node_major(g)
+        _accum(x, np.moveaxis(_padded_sum(wz, gz, edges.by_src, n).reshape(shape), 0, -2))
+        dgates = np.zeros(wz.size)
+        for rows, eid, peer in edges.by_dst:
+            dgates[eid] = np.matmul(np.take(xz, peer, axis=0), gz[rows][:, :, None])[:, :, 0]
+        _accum(gates, dgates[:-1, None])
 
-    gated = np.take(x.data, src, axis=-2) * gates.data
-    return _node(_segment_sum(gated, edges.by_dst, n), (x, gates), bwd)
+    out = _padded_sum(wz, xz, edges.by_dst, n)
+    return _node(np.moveaxis(out.reshape(shape), 0, -2), (x, gates), bwd)
 
 
 def mode1_product(k: Value, c: Value) -> Value:

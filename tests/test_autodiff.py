@@ -1,6 +1,7 @@
 import ast
 import inspect
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -163,6 +164,72 @@ def test_gated_aggregate_rejects_bad_shapes():
             ad.EdgeList(np.array(src), np.array(dst), 3)
 
 
+def _bucketed_graph(rng, n=60):
+    """In-degrees from 0 to 40, a duplicate (u, v) pair and a self-loop."""
+    deg = rng.integers(1, 41, size=n)
+    deg[0], deg[1] = 0, 40
+    dst = np.repeat(np.arange(n), deg)
+    src = rng.integers(0, n, size=dst.size)
+    src = np.concatenate([src, src[:1], [5]])
+    dst = np.concatenate([dst, dst[:1], [5]])
+    perm = rng.permutation(src.size)
+    return src[perm], dst[perm]
+
+
+def test_gated_aggregate_matches_per_edge_loops_across_buckets():
+    rng = np.random.default_rng(16)
+    n, d = 60, 4
+    src, dst = _bucketed_graph(rng, n)
+    edges = ad.EdgeList(src, dst, n)
+    e = src.size
+    padded = [eid for _, eid, _ in edges.by_dst if (eid == e).any()]
+    assert len(padded) >= 3
+    gates = rng.random((e, 1))
+    for shape in ((n, d), (1, n, d), (3, n, d)):
+        x, g = rng.standard_normal(shape), rng.standard_normal(shape)
+        out_ref, dx_ref, dg_ref = np.zeros(shape), np.zeros(shape), np.zeros((e, 1))
+        for k in range(e):
+            u, v = src[k], dst[k]
+            np.add.at(out_ref, (..., v, slice(None)), gates[k, 0] * x[..., u, :])
+            np.add.at(dx_ref, (..., u, slice(None)), gates[k, 0] * g[..., v, :])
+            dg_ref[k, 0] = np.sum(g[..., v, :] * x[..., u, :])
+        xp, gp = param(x), param(gates)
+        out = ad.gated_aggregate(xp, gp, edges)
+        backward(ad.sum_all(ad.elementwise_mul(out, constant(g))))
+        assert np.allclose(out.data, out_ref, rtol=0, atol=1e-12)
+        assert np.allclose(xp.grad, dx_ref, rtol=0, atol=1e-12)
+        assert np.allclose(gp.grad, dg_ref, rtol=0, atol=1e-12)
+        assert gp.grad.shape == (e, 1) and not out.data[..., 0, :].any()
+        if len(shape) == 3:
+            for b in range(shape[0]):
+                xb = param(x[b])
+                row = ad.gated_aggregate(xb, constant(gates), edges)
+                backward(ad.sum_all(ad.elementwise_mul(row, constant(g[b]))))
+                assert np.allclose(row.data, out.data[b], rtol=0, atol=1e-13)
+                assert np.allclose(xb.grad, xp.grad[b], rtol=0, atol=1e-13)
+
+
+def test_gated_aggregate_plans_stay_within_padding_bound():
+    src, dst = _bucketed_graph(np.random.default_rng(17))
+    edges = ad.EdgeList(src, dst, 60)
+    for plan in (edges.by_dst, edges.by_src):
+        slots = sum(eid.size for _, eid, _ in plan)
+        assert src.size <= slots <= src.size / 0.75
+        assert sorted(np.concatenate([eid[eid < src.size] for _, eid, _ in plan])) \
+            == list(range(src.size))
+
+
+def test_gated_aggregate_without_edges():
+    empty = np.zeros(0, dtype=np.int64)
+    edges = ad.EdgeList(empty, empty, 5)
+    x, gates = param(np.ones((2, 5, 3))), param(np.zeros((0, 1)))
+    out = ad.gated_aggregate(x, gates, edges)
+    backward(ad.sum_all(ad.elementwise_mul(out, constant(np.ones((2, 5, 3))))))
+    assert out.data.shape == (2, 5, 3) and not out.data.any()
+    assert not x.grad.any()
+    assert gates.grad.shape == (0, 1)
+
+
 def test_fd_mode1_product():
     rng = np.random.default_rng(8)
     k = rng.standard_normal((5, 4, 4))
@@ -282,6 +349,30 @@ def test_no_grad_skips_graph():
         out = ad.matmul(w, w)
     assert not out.requires_grad
     assert out._backward is None
+
+
+def test_no_grad_in_one_thread_leaves_another_taping():
+    w = param(np.ones((2, 2)))
+    entered, release = threading.Event(), threading.Event()
+    seen = []
+
+    def inference():
+        with no_grad():
+            entered.set()
+            release.wait(timeout=10)
+            seen.append(ad.matmul(w, w).requires_grad)
+
+    worker = threading.Thread(target=inference)
+    worker.start()
+    try:
+        assert entered.wait(timeout=10)
+        taped = ad.matmul(w, w)
+    finally:
+        release.set()
+        worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert taped.requires_grad and taped._backward is not None
+    assert seen == [False]
 
 
 def test_two_layer_composition_fd():
