@@ -35,7 +35,7 @@ class no_grad:
 class Value:
     """A dense array node in the computation graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad=False, name=None):
         data = np.asarray(data, dtype=np.float64)

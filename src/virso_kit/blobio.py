@@ -1,9 +1,16 @@
-"""Binary blob + JSON manifest helpers.
+"""One checked on-disk format for every artifact.
 
-All numeric artifacts are stored as little-endian blobs next to a JSON
-manifest that names them. Floats are 64-bit in memory and 32-bit on disk,
-except the eigenbasis and the model parameters, which are stored as 64-bit
-so that they reload exactly.
+An artifact is a JSON manifest plus little-endian binary blobs in the same
+directory. `save_artifact` writes them; the manifest's `kind` names what it
+holds and its `blobs` table records, for each blob, the file name, dtype,
+shape, byte size and sha256 of its bytes. `load_artifact` reads them back
+and refuses, with an `ArtifactError` naming the file, a wrong kind, a
+missing blob, a byte size that disagrees with the table or with dtype x
+shape, a hash mismatch, and a missing manifest or one from before the
+table existed (naming the command that rebuilds it).
+Floats are 64-bit in memory and 32-bit on disk, except the eigenbasis and
+the model parameters, which are stored as 64-bit so that they reload
+exactly.
 """
 
 from __future__ import annotations
@@ -20,38 +27,58 @@ F32 = "<f4"
 F64 = "<f8"
 U32 = "<u4"
 
-
-def write_blob(path: Path, array: np.ndarray, dtype: str) -> str:
-    """Write `array` row-major as `dtype`; returns the sha256 of the bytes."""
-    raw = np.ascontiguousarray(array).astype(dtype).tobytes()
-    path = Path(path)
-    path.write_bytes(raw)
-    return hashlib.sha256(raw).hexdigest()
+# the CLI command that writes each kind, named when its manifest is missing or old
+_PRODUCERS = {"point_cloud": "gen-data", "dataset": "gen-data", "graph": "prep-graph",
+              "eigen_basis": "prep-graph", "checkpoint": "train"}
 
 
-def read_blob(path: Path, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
-    path = Path(path)
-    if not path.is_file():
-        raise ArtifactError(f"missing blob: {path}")
-    raw = np.frombuffer(path.read_bytes(), dtype=dtype)
-    expected = int(np.prod(shape)) if shape else raw.size
-    if raw.size != expected:
-        raise ArtifactError(
-            f"blob {path} holds {raw.size} values, manifest expects {expected}"
-        )
-    return raw.reshape(shape)
+def save_artifact(manifest_path: Path, kind: str,
+                  blobs: dict[str, tuple[str, np.ndarray]], **fields) -> Path:
+    """Write each `role: (file name, array)` blob as stored, then the manifest.
+
+    Arrays are written row-major in their own dtype, so callers convert to
+    the storage dtype first; `fields` go into the manifest as they are.
+    """
+    manifest_path = Path(manifest_path)
+    manifest_path.parent.mkdir(parents=True, exist_ok=True)
+    table = {}
+    for role, (name, array) in blobs.items():
+        raw = np.ascontiguousarray(array).tobytes()
+        (manifest_path.parent / name).write_bytes(raw)
+        table[role] = {"file": name, "dtype": array.dtype.str, "shape": list(array.shape),
+                       "bytes": len(raw), "sha256": hashlib.sha256(raw).hexdigest()}
+    manifest = {"kind": kind, "blobs": table, **fields}
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return manifest_path
 
 
-def write_manifest(path: Path, manifest: dict) -> None:
-    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+def load_artifact(manifest_path: Path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """The manifest and its blobs by role (read-only arrays), each checked against the table."""
+    manifest_path = Path(manifest_path)
+    if not manifest_path.is_file():
+        raise ArtifactError(f"missing artifact {manifest_path}: run `virso-kit "
+                            f"{_PRODUCERS[kind]}` first")
+    man = json.loads(manifest_path.read_text())
+    if man.get("kind") != kind:
+        raise ArtifactError(f"{manifest_path} holds {man.get('kind')!r}, not {kind!r}")
+    if "blobs" not in man:
+        raise ArtifactError(f"{manifest_path} was written by an earlier virso-kit without a "
+                            f"blob table; rebuild it with `virso-kit {_PRODUCERS[kind]}`")
+    arrays = {}
+    for role, entry in man["blobs"].items():
+        path = manifest_path.parent / entry["file"]
+        if not path.is_file():
+            raise ArtifactError(f"missing blob {path} of {manifest_path}")
+        raw = path.read_bytes()
+        dtype, shape = np.dtype(entry["dtype"]), tuple(entry["shape"])
+        expected = dtype.itemsize * int(np.prod(shape))
+        if len(raw) != entry["bytes"] or len(raw) != expected:
+            raise ArtifactError(f"blob {path} holds {len(raw)} bytes; the table of "
+                                f"{manifest_path} records {entry['bytes']} and "
+                                f"{dtype.str} x {list(shape)} needs {expected}")
+        if hashlib.sha256(raw).hexdigest() != entry["sha256"]:
+            raise ArtifactError(f"blob {path} does not match the sha256 recorded in "
+                                f"{manifest_path}")
+        arrays[role] = np.frombuffer(raw, dtype=dtype).reshape(shape)
+    return man, arrays
 
-
-def read_manifest(path: Path) -> dict:
-    path = Path(path)
-    if not path.is_file():
-        raise ArtifactError(f"missing manifest: {path}")
-    return json.loads(path.read_text())
-
-
-def sha256_of(array: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()

@@ -149,7 +149,6 @@ def _require(path: Path, producer: str) -> Path:
 def _load_dataset(out):
     from .training import load_dataset
 
-    _require(_dataset_dir(out) / "dataset.json", "gen-data")
     return load_dataset(_dataset_dir(out))
 
 
@@ -204,11 +203,10 @@ def _load_artifacts(cfg, out):
 
     ds, points = _load_dataset(out)
     gdir = _graph_dir(out)
-    graph = load_graph(_require(gdir / "graph.json", "prep-graph"))
+    graph = load_graph(gdir / "graph.json")
     basis = None
     if cfg["model"]["variant"] != "spatial_only":
-        basis = load_eigen_basis(_require(gdir / "basis.json", "prep-graph"),
-                                 expected_graph_hash=graph.content_hash())
+        basis = load_eigen_basis(gdir / "basis.json", expected_graph_hash=graph.content_hash())
     return ds, points, _prepare(cfg, graph, points, basis)
 
 
@@ -219,14 +217,12 @@ def _load_trained(cfg, args):
     the checkpoint must name the graph on disk and the anchors rebuilt
     from `cfg` (when it records them).
     """
-    from .blobio import read_manifest
     from .errors import ArtifactError
     from .model import load_checkpoint
     from .training import Normalizer
 
     out = Path(args.out)
-    ckpt = Path(args.checkpoint) if args.checkpoint else _require(
-        out / "checkpoint.json", "train")
+    ckpt = Path(args.checkpoint) if args.checkpoint else out / "checkpoint.json"
     model, graph_hash = load_checkpoint(ckpt)
     for key in ("variant", "alpha_anchors", "m"):
         cfg["model"][key] = getattr(model.config, key)
@@ -236,7 +232,7 @@ def _load_trained(cfg, args):
             f"checkpoint {ckpt} was trained on graph {graph_hash}, but "
             f"{_graph_dir(out) / 'graph.json'} is graph {arts.graph.content_hash()}"
         )
-    trained_anchors = read_manifest(ckpt).get("anchor_ids")
+    trained_anchors = json.loads(ckpt.read_text())["anchor_ids"]
     anchors = arts.anchors.anchor_ids.tolist()
     if trained_anchors is not None and trained_anchors != anchors:
         raise ArtifactError(
@@ -270,7 +266,6 @@ def _schedule(cfg):
 
 
 def cmd_gen_data(args) -> int:
-    from .blobio import sha256_of
     from .training import save_dataset, split_dataset
 
     from .synthetic import SynthSpec, generate_dataset
@@ -281,11 +276,6 @@ def cmd_gen_data(args) -> int:
     out = Path(args.out)
     save_dataset(ds, _dataset_dir(out), points)
     _summary(out, "gen-data", cfg, ["dataset/dataset.json"])
-    _write_json(out / "dataset_hash.json", {
-        "inputs_sha256": sha256_of(ds.inputs.astype("<f4")),
-        "targets_sha256": sha256_of(ds.targets.astype("<f4")),
-        "coords_sha256": sha256_of(points.coords.astype("<f4")),
-    })
     print(f"gen-data: {ds.count} samples on {ds.n} nodes -> {out / 'dataset'}")
     return 0
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blobio import F32, U32, read_blob, read_manifest, write_blob, write_manifest
+from .blobio import F32, U32, load_artifact, save_artifact
 from .errors import (
     ArtifactError,
     DegenerateGraphError,
@@ -487,67 +487,33 @@ def recommended_anchor_count(n: int) -> int:
 
 
 def save_point_cloud(points: PointCloud, out_dir: Path, name: str = "points") -> Path:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    blob = f"{name}.f32"
-    digest = write_blob(out_dir / blob, points.coords, F32)
-    write_manifest(
-        out_dir / f"{name}.json",
-        {
-            "kind": "point_cloud",
-            "n": points.n,
-            "d": points.d,
-            "dtype": "float32-le",
-            "layout": "row-major n x d",
-            "blob": blob,
-            "sha256": digest,
-        },
-    )
-    return out_dir / f"{name}.json"
+    return save_artifact(Path(out_dir) / f"{name}.json", "point_cloud",
+                         {"coords": (f"{name}.f32", points.coords.astype(F32))})
 
 
 def load_point_cloud(manifest_path: Path) -> PointCloud:
-    manifest_path = Path(manifest_path)
-    man = read_manifest(manifest_path)
-    if man.get("kind") != "point_cloud":
-        raise ArtifactError(f"{manifest_path} is not a point-cloud manifest")
-    coords = read_blob(manifest_path.parent / man["blob"], F32, (man["n"], man["d"]))
-    return PointCloud(coords.astype(np.float64))
+    _, arrays = load_artifact(manifest_path, "point_cloud")
+    return PointCloud(arrays["coords"].astype(np.float64))
 
 
 def save_graph(graph: Graph, out_dir: Path, name: str = "graph") -> Path:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    edge_blob = f"{name}_edges.u32"
-    write_blob(out_dir / edge_blob, graph.edges.T, U32)  # 2 x E row-major
-    man = {
-        "kind": "graph",
-        "n": graph.n,
-        "edge_count": graph.edge_count,
-        "edges_blob": edge_blob,
-        "edges_layout": "uint32-le 2 x E row-major",
-        "weights_blob": None,
-        "content_hash": graph.content_hash(),
-    }
+    blobs = {"edges": (f"{name}_edges.u32", graph.edges.T.astype(U32))}  # 2 x E row-major
     if graph.weights is not None:
-        weight_blob = f"{name}_weights.f32"
-        write_blob(out_dir / weight_blob, graph.weights, F32)
-        man["weights_blob"] = weight_blob
-    write_manifest(out_dir / f"{name}.json", man)
-    return out_dir / f"{name}.json"
+        blobs["weights"] = (f"{name}_weights.f32", graph.weights.astype(F32))
+    return save_artifact(Path(out_dir) / f"{name}.json", "graph", blobs,
+                         n=graph.n, content_hash=graph.content_hash())
 
 
 def load_graph(manifest_path: Path) -> Graph:
-    manifest_path = Path(manifest_path)
-    man = read_manifest(manifest_path)
-    if man.get("kind") != "graph":
-        raise ArtifactError(f"{manifest_path} is not a graph manifest")
-    e = man["edge_count"]
-    edges = read_blob(manifest_path.parent / man["edges_blob"], U32, (2, e)).T.astype(np.int64)
+    man, arrays = load_artifact(manifest_path, "graph")
     weights = None
-    if man.get("weights_blob"):
+    if "weights" in arrays:
         # stored weights keep max == 1.0 exactly (1.0 is f32-representable)
-        weights = read_blob(manifest_path.parent / man["weights_blob"], F32, (e,)).astype(np.float64)
+        weights = arrays["weights"].astype(np.float64)
         if weights.size and weights.min() <= 0.0:
             raise ArtifactError(f"{manifest_path}: stored weight underflowed to 0")
-    return Graph(man["n"], edges, weights=weights)
+    graph = Graph(man["n"], arrays["edges"].T.astype(np.int64), weights=weights)
+    if graph.content_hash() != man["content_hash"]:
+        raise ArtifactError(f"{manifest_path} records content hash {man['content_hash']}, "
+                            f"but its fields and blobs give {graph.content_hash()}")
+    return graph

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Value, constant, no_grad, param
-from .blobio import F64, read_manifest, write_manifest
+from .blobio import F64, load_artifact, save_artifact
 from .errors import ArtifactError, ConfigError, ShapeError
 from .graphs import AnchorEmbedding, Graph
 from .spectral import EigenBasis
@@ -382,68 +382,37 @@ def flop_count(config: VirsoConfig, n: int, e: int) -> dict:
 
 def save_checkpoint(model: VirsoModel, out_dir: Path, graph_hash: str | None = None,
                     name: str = "checkpoint", anchor_ids: np.ndarray | None = None) -> Path:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    offset = 0
-    chunks = []
-    for pname in sorted(model.params):
-        arr = model.params[pname].data
-        entries.append({"name": pname, "shape": list(arr.shape), "offset": offset})
-        chunks.append(np.ascontiguousarray(arr, dtype=F64))
-        offset += arr.size * 8
-    blob = f"{name}.f64"
-    (out_dir / blob).write_bytes(b"".join(ch.tobytes() for ch in chunks))
-    write_manifest(
-        out_dir / f"{name}.json",
-        {
-            "kind": "checkpoint",
-            "schema_version": 1,
-            "config": asdict(model.config),
-            "graph_hash": graph_hash,
-            "anchor_ids": None if anchor_ids is None else [int(a) for a in anchor_ids],
-            "blob": blob,
-            "params": entries,
-        },
+    names = sorted(model.params)
+    flat = np.concatenate([model.params[p].data.astype(F64).ravel() for p in names])
+    return save_artifact(
+        Path(out_dir) / f"{name}.json", "checkpoint", {"params": (f"{name}.f64", flat)},
+        config=asdict(model.config), graph_hash=graph_hash,
+        anchor_ids=None if anchor_ids is None else [int(a) for a in anchor_ids],
+        params=[{"name": p, "shape": list(model.params[p].data.shape)} for p in names],
     )
-    return out_dir / f"{name}.json"
 
 
 def load_checkpoint(manifest_path: Path) -> tuple[VirsoModel, str | None]:
     """Model and graph hash from `save_checkpoint` output.
 
-    The manifest must list exactly the architecture's parameters with
-    their shapes and the offsets `save_checkpoint` gives them, and the blob
-    must hold exactly their values.
+    The manifest must list exactly the architecture's parameters with their
+    shapes; their values are the checked blob, in sorted-name order.
     """
-    manifest_path = Path(manifest_path)
-    man = read_manifest(manifest_path)
-    if man.get("kind") != "checkpoint":
-        raise ArtifactError(f"{manifest_path} is not a checkpoint manifest")
-    config = VirsoConfig(**man["config"])
-    model = VirsoModel(config, seed=0, allow_degenerate_t=True)
-    entries = {entry["name"]: entry for entry in man["params"]}
-    missing = sorted(set(model.params) - set(entries))
-    extra = sorted(set(entries) - set(model.params))
+    man, arrays = load_artifact(manifest_path, "checkpoint")
+    model = VirsoModel(VirsoConfig(**man["config"]), seed=0, allow_degenerate_t=True)
+    shapes = {entry["name"]: tuple(entry["shape"]) for entry in man["params"]}
+    missing = sorted(set(model.params) - set(shapes))
+    extra = sorted(set(shapes) - set(model.params))
     if missing or extra:
         raise ArtifactError(f"{manifest_path}: parameters missing {missing}, "
                             f"not in architecture {extra}")
-    raw = (manifest_path.parent / man["blob"]).read_bytes()
-    expected = 8 * model.num_params()
-    if len(raw) != expected:
-        raise ArtifactError(f"{man['blob']} holds {len(raw)} bytes, "
-                            f"the parameters need {expected}")
-    offset = 0
-    for name in sorted(entries):
-        entry, shape = entries[name], tuple(entries[name]["shape"])
-        if shape != model.params[name].data.shape:
-            raise ArtifactError(f"checkpoint parameter {name!r} has shape {shape}, "
-                                f"architecture expects {model.params[name].data.shape}")
-        # save_checkpoint packs the parameters back to back in sorted-name order
-        if entry["offset"] != offset:
-            raise ArtifactError(f"checkpoint parameter {name!r} is at byte offset "
-                                f"{entry['offset']}, save_checkpoint puts it at {offset}")
-        arr = np.frombuffer(raw, dtype=F64, count=int(np.prod(shape)), offset=offset)
-        model.params[name].data = arr.reshape(shape).copy()
-        offset += arr.size * 8
-    return model, man.get("graph_hash")
+    flat, offset = arrays["params"], 0
+    for name in sorted(shapes):
+        shape = model.params[name].data.shape
+        if shapes[name] != shape:
+            raise ArtifactError(f"checkpoint parameter {name!r} has shape {shapes[name]}, "
+                                f"architecture expects {shape}")
+        size = int(np.prod(shape))
+        model.params[name].data = flat[offset:offset + size].reshape(shape).copy()
+        offset += size
+    return model, man["graph_hash"]

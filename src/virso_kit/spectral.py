@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blobio import F64, read_blob, read_manifest, write_blob, write_manifest
+from .blobio import F64, load_artifact, save_artifact
 from .errors import (
     ArtifactError,
     ConvergenceError,
@@ -272,41 +272,23 @@ def igft(basis: EigenBasis, c: np.ndarray) -> np.ndarray:
 def save_eigen_basis(
     basis: EigenBasis, out_dir: Path, graph_hash: str, name: str = "basis"
 ) -> Path:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    q_blob, s_blob = f"{name}_q.f64", f"{name}_sigma.f64"
-    write_blob(out_dir / q_blob, basis.q, F64)
-    write_blob(out_dir / s_blob, basis.sigma, F64)
-    write_manifest(
-        out_dir / f"{name}.json",
-        {
-            "kind": "eigen_basis",
-            "n": basis.n,
-            "m": basis.m,
-            "graph_hash": graph_hash,
-            "q_blob": q_blob,
-            "q_layout": "float64-le n x m row-major",
-            "sigma_blob": s_blob,
-            "iterations": basis.iterations,
-            "residual_history": basis.residual_history,
-        },
+    return save_artifact(
+        Path(out_dir) / f"{name}.json", "eigen_basis",
+        {"q": (f"{name}_q.f64", basis.q.astype(F64)),
+         "sigma": (f"{name}_sigma.f64", basis.sigma.astype(F64))},
+        graph_hash=graph_hash, iterations=basis.iterations,
+        residual_history=basis.residual_history,
     )
-    return out_dir / f"{name}.json"
 
 
 def load_eigen_basis(manifest_path: Path, expected_graph_hash: str | None = None) -> EigenBasis:
-    manifest_path = Path(manifest_path)
-    man = read_manifest(manifest_path)
-    if man.get("kind") != "eigen_basis":
-        raise ArtifactError(f"{manifest_path} is not an eigen-basis manifest")
+    man, arrays = load_artifact(manifest_path, "eigen_basis")
     if expected_graph_hash is not None and man["graph_hash"] != expected_graph_hash:
         raise ArtifactError(
             "eigen basis was computed for a different graph "
             f"(cache key {man['graph_hash'][:12]}..., expected {expected_graph_hash[:12]}...)"
         )
-    q = read_blob(manifest_path.parent / man["q_blob"], F64, (man["n"], man["m"]))
-    sigma = read_blob(manifest_path.parent / man["sigma_blob"], F64, (man["m"],))
-    history = man.get("residual_history")
-    return EigenBasis(q=q.astype(np.float64), sigma=sigma.astype(np.float64),
-                      iterations=man.get("iterations"),
+    history = man["residual_history"]
+    return EigenBasis(q=arrays["q"].astype(np.float64), sigma=arrays["sigma"].astype(np.float64),
+                      iterations=man["iterations"],
                       residual_history=None if history is None else tuple(history))

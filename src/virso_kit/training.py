@@ -19,8 +19,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Value, constant, no_grad
-from .blobio import F32, read_blob, read_manifest, write_blob, write_manifest
-from .errors import ArtifactError, InvalidParameterError
+from .blobio import F32, load_artifact, save_artifact
+from .errors import InvalidParameterError
 from .graphs import PointCloud, load_point_cloud, save_point_cloud
 from .model import GraphArtifacts, VirsoModel, forward
 from .optim import AdamState, adam_step, restore, snapshot, zero_grads
@@ -112,43 +112,23 @@ def split_dataset(dataset: Dataset, fractions, seed: int) -> Dataset:
 
 
 def save_dataset(dataset: Dataset, out_dir: Path, points: PointCloud) -> Path:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    h_in = write_blob(out_dir / "inputs.f32", dataset.inputs, F32)
-    h_tg = write_blob(out_dir / "targets.f32", dataset.targets, F32)
     save_point_cloud(points, out_dir)
-    write_manifest(
-        out_dir / "dataset.json",
-        {
-            "kind": "dataset",
-            "n": dataset.n,
-            "d": points.d,
-            "q": dataset.q,
-            "C": dataset.channels,
-            "sample_count": dataset.count,
-            "ids": dataset.ids,
-            "split_labels": None if dataset.splits is None else dataset.splits.tolist(),
-            "inputs_blob": "inputs.f32",
-            "targets_blob": "targets.f32",
-            "points_manifest": "points.json",
-            "sha256": {"inputs": h_in, "targets": h_tg},
-            "meta": dataset.meta,
-        },
+    return save_artifact(
+        Path(out_dir) / "dataset.json", "dataset",
+        {"inputs": ("inputs.f32", dataset.inputs.astype(F32)),
+         "targets": ("targets.f32", dataset.targets.astype(F32))},
+        ids=dataset.ids,
+        split_labels=None if dataset.splits is None else dataset.splits.tolist(),
+        meta=dataset.meta,
     )
-    return out_dir / "dataset.json"
 
 
 def load_dataset(out_dir: Path) -> tuple[Dataset, PointCloud]:
-    out_dir = Path(out_dir)
-    man = read_manifest(out_dir / "dataset.json")
-    if man.get("kind") != "dataset":
-        raise ArtifactError(f"{out_dir}/dataset.json is not a dataset manifest")
-    count, n, q, c = man["sample_count"], man["n"], man["q"], man["C"]
-    inputs = read_blob(out_dir / man["inputs_blob"], F32, (count, q)).astype(np.float64)
-    targets = read_blob(out_dir / man["targets_blob"], F32, (count, n, c)).astype(np.float64)
+    man, arrays = load_artifact(Path(out_dir) / "dataset.json", "dataset")
     splits = None if man["split_labels"] is None else np.asarray(man["split_labels"], dtype="U5")
-    points = load_point_cloud(out_dir / man["points_manifest"])
-    ds = Dataset(inputs, targets, list(man["ids"]), splits=splits, meta=man.get("meta", {}))
+    points = load_point_cloud(Path(out_dir) / "points.json")
+    ds = Dataset(arrays["inputs"].astype(np.float64), arrays["targets"].astype(np.float64),
+                 list(man["ids"]), splits=splits, meta=man["meta"])
     return ds, points
 
 
@@ -353,6 +333,7 @@ def train(model: VirsoModel, dataset: Dataset, arts: GraphArtifacts,
                 )
                 ad.backward(loss)
                 batch_total += float(loss.data)
+                del loss  # frees this step's tape before the next one is built
             if not np.isfinite(batch_total):
                 diverged = True
                 break

@@ -44,9 +44,10 @@ def test_gen_data_deterministic_hashes(tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert main(["gen-data", "--config", str(cfg), "--out", str(out1)]) == 0
     assert main(["gen-data", "--config", str(cfg), "--out", str(out2)]) == 0
-    h1 = json.loads((out1 / "dataset_hash.json").read_text())
-    h2 = json.loads((out2 / "dataset_hash.json").read_text())
-    assert h1 == h2
+    for manifest in ("dataset.json", "points.json"):
+        t1 = json.loads((out1 / "dataset" / manifest).read_text())["blobs"]
+        t2 = json.loads((out2 / "dataset" / manifest).read_text())["blobs"]
+        assert t1 == t2
     raw1 = (out1 / "dataset" / "targets.f32").read_bytes()
     raw2 = (out2 / "dataset" / "targets.f32").read_bytes()
     assert raw1 == raw2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from virso_kit.errors import (
+    ArtifactError,
     DegenerateGraphError,
     InvalidInputError,
     InvalidParameterError,
@@ -484,3 +485,18 @@ def test_graph_round_trip(tmp_path):
     assert np.array_equal(back.edges, g.edges)
     assert back.weights.max() == 1.0
     assert np.allclose(back.weights, g.weights, atol=1e-6)
+
+
+def test_graph_manifest_fields_checked_against_content_hash(tmp_path):
+    import json
+
+    pts = random_cloud(60, seed=51)
+    g = compute_edge_weights(build_knn(pts, 4), pts)
+    man = save_graph(g, tmp_path)
+    doc = json.loads(man.read_text())
+    doc["n"] += 1
+    man.write_text(json.dumps(doc))
+    with pytest.raises(ArtifactError) as err:
+        load_graph(man)
+    edited = Graph(g.n + 1, g.edges, weights=g.weights)
+    assert g.content_hash() in str(err.value) and edited.content_hash() in str(err.value)

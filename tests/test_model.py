@@ -503,17 +503,27 @@ def test_checkpoint_manifest_must_match_architecture(tmp_path, fault):
         load_checkpoint(man)
 
 
-def test_checkpoint_swapped_offsets_refused(tmp_path):
+def test_checkpoint_swapped_parameters_refused(tmp_path):
     import json
 
-    man = save_checkpoint(VirsoModel(toy_config(), seed=23), tmp_path)
+    model = VirsoModel(toy_config(), seed=23)
+    rng = np.random.default_rng(24)
+    for name in ("block0.collab_b1", "block0.ln_bias"):  # both start at zero
+        model.params[name].data = rng.standard_normal(model.params[name].data.shape)
+    man = save_checkpoint(model, tmp_path)
     doc = json.loads(man.read_text())
-    a, b = (next(e for e in doc["params"] if e["name"] == name)
-            for name in ("block0.collab_b1", "block0.ln_bias"))
-    assert a["shape"] == b["shape"]
-    a["offset"], b["offset"] = b["offset"], a["offset"]
-    man.write_text(json.dumps(doc))
-    with pytest.raises(ArtifactError, match="block0.collab_b1"):
+    spans, offset = {}, 0
+    for entry in doc["params"]:  # save_checkpoint packs them in sorted-name order
+        size = 8 * int(np.prod(entry["shape"]))
+        spans[entry["name"]] = slice(offset, offset + size)
+        offset += size
+    a, b = spans["block0.collab_b1"], spans["block0.ln_bias"]
+    assert a.stop - a.start == b.stop - b.start
+    blob = tmp_path / "checkpoint.f64"
+    raw = bytearray(blob.read_bytes())
+    raw[a], raw[b] = raw[b], raw[a]
+    blob.write_bytes(bytes(raw))
+    with pytest.raises(ArtifactError, match="checkpoint.f64"):
         load_checkpoint(man)
 
 

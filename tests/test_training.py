@@ -273,6 +273,28 @@ def test_gradient_accumulation_matches_full_batch():
                            rtol=1e-9, atol=1e-12)
 
 
+def test_train_frees_each_step_tape(monkeypatch):
+    import weakref
+
+    import virso_kit.training as training
+
+    ds, arts, model = tiny_setup(n_target=80, samples=24, seed=4)
+    ds = split_dataset(ds, (0.5, 0.25, 0.25), seed=3)
+    roots, alive_at_next = [], []
+
+    def recording_batch_loss(*args, **kwargs):
+        loss = batch_loss(*args, **kwargs)
+        if roots:
+            alive_at_next.append(roots[-1]() is not None)
+        roots.append(weakref.ref(loss))
+        return loss
+
+    monkeypatch.setattr(training, "batch_loss", recording_batch_loss)
+    train(model, ds, arts, TrainSchedule(lr=1e-3, batch_size=4, max_epochs=1, seed=5))
+    assert len(roots) >= 3
+    assert not any(alive_at_next), "a step's tape outlived the next step's batch_loss"
+
+
 def test_train_requires_splits():
     ds, arts, model = tiny_setup(n_target=80, samples=10)
     with pytest.raises(InvalidParameterError):
