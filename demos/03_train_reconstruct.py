@@ -36,7 +36,8 @@ config = VirsoConfig(
 model = VirsoModel(config, seed=0)
 fl = flop_count(config, n=dataset.n, e=arts.src.size)
 print(f"model: {model.num_params()} parameters, "
-      f"{fl['total'] / 1e6:.1f} MFLOPs/sample")
+      f"{fl['per_sample'] / 1e6:.1f} MFLOPs per served sample + "
+      f"{fl['per_graph'] / 1e6:.1f} MFLOPs of gates per graph")
 
 schedule = TrainSchedule(lr=3e-3, decay_step=30, batch_size=32, max_epochs=40,
                          patience=40, weight_decay=1e-3, seed=0)

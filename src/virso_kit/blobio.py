@@ -8,9 +8,9 @@ and refuses, with an `ArtifactError` naming the file, a wrong kind, a
 missing blob, a byte size that disagrees with the table or with dtype x
 shape, a hash mismatch, and a missing manifest or one from before the
 table existed (naming the command that rebuilds it).
-Floats are 64-bit in memory and 32-bit on disk, except the eigenbasis and
-the model parameters, which are stored as 64-bit so that they reload
-exactly.
+Floats are 64-bit in memory and 32-bit on disk, except the eigenbasis, the
+model parameters and the normalizers, which are stored as 64-bit so that
+they reload exactly.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ U32 = "<u4"
 
 # the CLI command that writes each kind, named when its manifest is missing or old
 _PRODUCERS = {"point_cloud": "gen-data", "dataset": "gen-data", "graph": "prep-graph",
-              "eigen_basis": "prep-graph", "checkpoint": "train"}
+              "eigen_basis": "prep-graph", "checkpoint": "train", "normalizers": "train"}
 
 
 def save_artifact(manifest_path: Path, kind: str,
@@ -59,11 +59,11 @@ def load_artifact(manifest_path: Path, kind: str) -> tuple[dict, dict[str, np.nd
         raise ArtifactError(f"missing artifact {manifest_path}: run `virso-kit "
                             f"{_PRODUCERS[kind]}` first")
     man = json.loads(manifest_path.read_text())
-    if man.get("kind") != kind:
-        raise ArtifactError(f"{manifest_path} holds {man.get('kind')!r}, not {kind!r}")
     if "blobs" not in man:
         raise ArtifactError(f"{manifest_path} was written by an earlier virso-kit without a "
                             f"blob table; rebuild it with `virso-kit {_PRODUCERS[kind]}`")
+    if man.get("kind") != kind:
+        raise ArtifactError(f"{manifest_path} holds {man.get('kind')!r}, not {kind!r}")
     arrays = {}
     for role, entry in man["blobs"].items():
         path = manifest_path.parent / entry["file"]

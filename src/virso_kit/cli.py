@@ -138,14 +138,6 @@ def _graph_dir(out: Path) -> Path:
     return Path(out) / "graph"
 
 
-def _require(path: Path, producer: str) -> Path:
-    from .errors import ArtifactError
-
-    if not Path(path).exists():
-        raise ArtifactError(f"missing artifact {path}: run `{producer}` first")
-    return Path(path)
-
-
 def _load_dataset(out):
     from .training import load_dataset
 
@@ -219,7 +211,7 @@ def _load_trained(cfg, args):
     """
     from .errors import ArtifactError
     from .model import load_checkpoint
-    from .training import Normalizer
+    from .training import load_normalizers
 
     out = Path(args.out)
     ckpt = Path(args.checkpoint) if args.checkpoint else out / "checkpoint.json"
@@ -239,9 +231,7 @@ def _load_trained(cfg, args):
             f"checkpoint {ckpt} was trained with anchors {trained_anchors}, but "
             f"graph.anchor_seed={cfg['graph']['anchor_seed']} gives anchors {anchors}"
         )
-    norm_state = json.loads(_require(ckpt.parent / "normalizers.json", "train").read_text())
-    return (model, ds, arts, Normalizer.from_state(norm_state["input"]),
-            Normalizer.from_state(norm_state["target"]))
+    return (model, ds, arts, *load_normalizers(ckpt.parent / "normalizers.json"))
 
 
 def _model_config(cfg, ds, points, variant=None):
@@ -329,12 +319,11 @@ def cmd_train(args) -> int:
         cfg, out, variant=variant, report_dir=out
     )
     from .model import save_checkpoint
+    from .training import save_normalizers
 
     save_checkpoint(model, out, graph_hash=arts.graph.content_hash(),
                     anchor_ids=arts.anchors.anchor_ids)
-    _write_json(out / "normalizers.json", {
-        "input": input_norm.state(), "target": target_norm.state(),
-    })
+    save_normalizers(input_norm, target_norm, out)
     _summary(out, "train", cfg, ["checkpoint.json", "train_report.json",
                                  "loss_curve.csv", "normalizers.json"])
     print(f"train: best val {report.best_val:.4%} at epoch {report.best_epoch} "
@@ -482,7 +471,8 @@ def cmd_bench(args) -> int:
     _write_json(out / "bench_summary.json", payload)
     _summary(out, "bench", cfg, artifacts)
     print(f"bench: {latency:.2f} ms/it over {idx.size} samples, "
-          f"{flops['total'] / 1e6:.1f} MFLOPs/sample")
+          f"{flops['per_sample'] / 1e6:.1f} MFLOPs/sample served + "
+          f"{flops['per_graph'] / 1e6:.1f} MFLOPs of gates per graph")
     return 0
 
 

@@ -13,12 +13,14 @@ Per block:
 Variants drop one branch (the survivor feeds the skip directly), the
 weighted spectral skip, or the identity skip, matching the ablation
 grid. The gate for a directed edge u->v reads [h_u || h_v || W2 w_uv]
-(sender embedding first).
+(sender embedding first). Gates depend only on the graph and the gate
+parameters, so untaped forwards reuse each block's gates from a memo on
+the graph artifacts, keyed by the exact gate parameter values.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -90,7 +92,12 @@ class VirsoConfig:
 
 @dataclass
 class GraphArtifacts:
-    """Per-graph constants shared by every forward pass."""
+    """Per-graph constants shared by every forward pass.
+
+    `gate_memo` maps a block index to copies of that block's gate parameters
+    and the read-only (2E, 1) gates they give on this graph; `gate_base` and
+    `w_dir` are read-only, so an entry is a pure function of its key.
+    """
 
     graph: Graph
     coords: np.ndarray
@@ -101,6 +108,7 @@ class GraphArtifacts:
     gate_base: np.ndarray | None = None  # [h_src || h_dst] per directed edge
     w_dir: np.ndarray | None = None      # (2E, 1) directed edge weights
     edges: ad.EdgeList | None = None     # the same directed edges, planned
+    gate_memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def prepare(cls, graph: Graph, coords: np.ndarray,
@@ -121,6 +129,8 @@ class GraphArtifacts:
             h = anchors.h
             arts.gate_base = np.concatenate([h[src], h[dst]], axis=1)
             arts.w_dir = w[:, None]
+            arts.gate_base.flags.writeable = False
+            arts.w_dir.flags.writeable = False
         return arts
 
 
@@ -252,6 +262,28 @@ def edge_gates(arts: GraphArtifacts, gate_w1: Value, gate_w2: Value,
     return ad.sigmoid(ad.matmul(hidden, gate_w3))
 
 
+def _block_gates(arts: GraphArtifacts, t: int, gate_w1: Value, gate_w2: Value,
+                 gate_w3: Value) -> Value:
+    """Block t's gates: on the tape when taping, else from `arts.gate_memo`.
+
+    A memo entry serves only while every stored parameter copy equals the
+    live values (`np.array_equal`, so a NaN never matches); in-place updates
+    such as Adam's therefore recompute the gates. The gates are computed
+    from the copies, and an entry is replaced as one tuple, so a concurrent
+    caller never pairs gates with other parameter values.
+    """
+    if ad.grad_enabled():
+        return edge_gates(arts, gate_w1, gate_w2, gate_w3)
+    live = (gate_w1.data, gate_w2.data, gate_w3.data)
+    hit = arts.gate_memo.get(t)
+    if hit is None or not all(np.array_equal(a, b) for a, b in zip(hit[0], live)):
+        key = tuple(w.copy() for w in live)
+        gates = edge_gates(arts, *map(constant, key)).data
+        gates.flags.writeable = False
+        hit = arts.gate_memo[t] = (key, gates)
+    return constant(hit[1])
+
+
 def spatial_block(v: Value, arts: GraphArtifacts, spat_w: Value,
                   gates: Value) -> Value:
     return ad.l2_normalize_rows(ad.gated_aggregate(ad.matmul(v, spat_w), gates, arts.edges))
@@ -316,8 +348,8 @@ def forward(model: VirsoModel, arts: GraphArtifacts, u_batch: np.ndarray) -> Val
                     p[f"block{t}.ln_gain"], p[f"block{t}.ln_bias"],
                 )
             if c.has_spatial:
-                gates = edge_gates(arts, p[f"block{t}.gate_w1"],
-                                   p[f"block{t}.gate_w2"], p[f"block{t}.gate_w3"])
+                gates = _block_gates(arts, t, p[f"block{t}.gate_w1"],
+                                     p[f"block{t}.gate_w2"], p[f"block{t}.gate_w3"])
                 v_spat = spatial_block(v, arts, p[f"block{t}.spat_w"], gates)
             v = collaboration(v_spat, v_spec, model, t, v)
         except (ShapeError, ConfigError) as err:
@@ -346,6 +378,10 @@ def flop_count(config: VirsoConfig, n: int, e: int) -> dict:
 
     `e` is the number of directed edges the spatial branch runs over,
     `GraphArtifacts.src.size`: twice the undirected `Graph.edge_count`.
+
+    `per_graph` is the gate MLPs, T*2*E*gate, which an untaped forward
+    computes once per graph and parameter values; `per_sample` is the rest,
+    the work of one served request. The two sum to `total`.
     """
     c = config
     embed_flops = (2 * c.input_width * c.d_latent if c.embed_hidden == 0
@@ -360,10 +396,12 @@ def flop_count(config: VirsoConfig, n: int, e: int) -> dict:
     }
     if c.has_spectral:
         terms["spectral"] = c.T * (4 * n * c.m * c.d_v + 2 * c.m * c.d_v**2)
+    per_graph = 0
     if c.has_spatial:
         gate = 2 * (2 * c.alpha_anchors + c.gate_weight_width) * c.gate_hidden \
             + 2 * c.gate_hidden
         terms["spatial"] = c.T * 2 * e * (c.d_v + gate)
+        per_graph = c.T * 2 * e * gate
     if c.variant == "full":
         collab = 2 * n * 2 * c.d_v * c.d_v
         if c.collaboration == "nonlinear":
@@ -373,7 +411,9 @@ def flop_count(config: VirsoConfig, n: int, e: int) -> dict:
         "total = embed + lift + downlift + T*(4*n*m*d_v + 2*m*d_v^2) "
         "+ T*2*E*(d_v + 2*(2*alpha+g_w)*g_h + 2*g_h) + T*collab"
     )
-    return {"total": int(sum(terms.values())), "terms": terms, "formula": formula}
+    total = int(sum(terms.values()))
+    return {"total": total, "per_graph": per_graph, "per_sample": total - per_graph,
+            "terms": terms, "formula": formula}
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Value, constant, no_grad
-from .blobio import F32, load_artifact, save_artifact
+from .blobio import F32, F64, load_artifact, save_artifact
 from .errors import InvalidParameterError
 from .graphs import PointCloud, load_point_cloud, save_point_cloud
 from .model import GraphArtifacts, VirsoModel, forward
@@ -210,6 +210,29 @@ class Normalizer:
                 setattr(norm, key, np.asarray(state[key], dtype=np.float64))
         norm.fitted_on_train = state["fitted_on_train"]
         return norm
+
+
+_NORM_ARRAYS = ("a", "b", "mu", "sigma")
+
+
+def save_normalizers(input_norm: Normalizer, target_norm: Normalizer, out_dir: Path) -> Path:
+    """`normalizers.json`: each fitted array a float64 blob, the rest manifest fields."""
+    blobs, fields = {}, {}
+    for which, norm in (("input", input_norm), ("target", target_norm)):
+        fields[which] = {k: v for k, v in norm.state().items() if k not in _NORM_ARRAYS}
+        for key in _NORM_ARRAYS:
+            if getattr(norm, key) is not None:
+                blobs[f"{which}.{key}"] = (f"normalizers.{which}_{key}.f64",
+                                           getattr(norm, key).astype(F64))
+    return save_artifact(Path(out_dir) / "normalizers.json", "normalizers", blobs, **fields)
+
+
+def load_normalizers(manifest_path: Path) -> tuple[Normalizer, Normalizer]:
+    """The input and target normalizers from `save_normalizers` output, exactly."""
+    man, arrays = load_artifact(manifest_path, "normalizers")
+    return tuple(Normalizer.from_state({**man[which], **{
+        key: arrays.get(f"{which}.{key}") for key in _NORM_ARRAYS}})
+        for which in ("input", "target"))
 
 
 # ---------------------------------------------------------------------------

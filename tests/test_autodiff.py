@@ -326,6 +326,50 @@ def test_repeated_backward_accumulates():
     assert np.allclose(w.grad, 2 * g1)
 
 
+def _tape(root):
+    nodes, stack, seen = [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def test_backward_releases_every_intermediate_node():
+    rng = np.random.default_rng(16)
+    n, e = 6, 12
+    edges = ad.EdgeList(rng.integers(0, n, size=e), rng.integers(0, n, size=e), n)
+    w = param(rng.standard_normal((3, 3)))
+    gain, bias = param(np.ones((1, 3))), param(np.zeros((1, 3)))
+    gates = ad.sigmoid(ad.matmul(constant(rng.standard_normal((e, 2))), param(np.ones((2, 1)))))
+    h = ad.gelu(ad.matmul(constant(rng.standard_normal((2, n, 3))), w))
+    out = ad.layer_norm_rows(ad.gated_aggregate(h, gates, edges), gain, bias)
+    root = ad.sum_all(ad.elementwise_mul(out, out))
+    nodes = _tape(root)
+    inner = [v for v in nodes if v._backward is not None]
+    leaves = [v for v in nodes if v._backward is None and v.requires_grad]
+    assert len(inner) >= 8 and len(leaves) == 4
+    backward(root)
+    assert all(v._backward is None and v._parents is None and v.grad is None for v in inner)
+    assert all(v.grad is not None for v in leaves)
+    assert root.data.shape == () and out.data.shape == (2, n, 3)  # values stay readable
+
+
+def test_second_backward_on_a_released_tape_raises():
+    w = param(np.array([[2.0]]))
+    shared = ad.elementwise_mul(w, w)
+    loss = ad.sum_all(shared)
+    backward(loss)
+    g = w.grad.copy()
+    with pytest.raises(InvalidParameterError, match="released"):
+        backward(loss)
+    with pytest.raises(InvalidParameterError, match="released"):
+        backward(ad.sum_all(ad.scalar_mul(shared, 3.0)))
+    assert np.array_equal(w.grad, g)  # a refused backward adds nothing
+
+
 def test_backward_rejects_nonscalar_root():
     w = param(np.zeros((2, 2)))
     with pytest.raises(InvalidParameterError):

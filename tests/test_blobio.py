@@ -28,7 +28,14 @@ from virso_kit.spectral import (
     save_eigen_basis,
 )
 from virso_kit.synthetic import SynthSpec, generate_dataset
-from virso_kit.training import load_dataset, save_dataset, split_dataset
+from virso_kit.training import (
+    Normalizer,
+    load_dataset,
+    load_normalizers,
+    save_dataset,
+    save_normalizers,
+    split_dataset,
+)
 
 
 def _f32(a):
@@ -70,6 +77,13 @@ def _checkpoint(seed, out):
     return model, save_checkpoint(model, out, graph_hash="f" * 64, anchor_ids=np.arange(3))
 
 
+def _normalizers(seed, out):
+    rng = np.random.default_rng(seed)
+    norms = (Normalizer(mode="gaussian").fit(rng.standard_normal((9, 5))),
+             Normalizer(mode="minmax").fit(rng.standard_normal((9, 4, 3))))
+    return norms, save_normalizers(*norms, out)
+
+
 def _same_point_cloud(saved, loaded):
     assert np.array_equal(loaded.coords, _f32(saved.coords))
 
@@ -100,6 +114,11 @@ def _same_checkpoint(saved, loaded):
         assert np.array_equal(model.params[name].data, p.data)
 
 
+def _same_normalizers(saved, loaded):
+    for norm, back in zip(saved, loaded):
+        assert back.state() == norm.state()
+
+
 # kind -> (save a seeded artifact into a directory, load it, compare at storage precision)
 KINDS = {
     "point_cloud": (_point_cloud, load_point_cloud, _same_point_cloud),
@@ -107,9 +126,10 @@ KINDS = {
     "eigen_basis": (_eigen_basis, load_eigen_basis, _same_eigen_basis),
     "dataset": (_dataset, lambda man: load_dataset(man.parent), _same_dataset),
     "checkpoint": (_checkpoint, load_checkpoint, _same_checkpoint),
+    "normalizers": (_normalizers, load_normalizers, _same_normalizers),
 }
 PRODUCERS = {"point_cloud": "gen-data", "graph": "prep-graph", "eigen_basis": "prep-graph",
-             "dataset": "gen-data", "checkpoint": "train"}
+             "dataset": "gen-data", "checkpoint": "train", "normalizers": "train"}
 
 
 def _blob_files(man):

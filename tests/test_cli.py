@@ -175,6 +175,37 @@ def test_eval_reproduces_final_test_exactly(tmp_path):
     assert ev["per_sample"] == final["per_sample"]
 
 
+def test_eval_refuses_a_tampered_normalizer_blob(tmp_path):
+    from virso_kit.cli import build_parser
+    from virso_kit.errors import ArtifactError
+
+    cfg = micro_config(tmp_path)
+    out = tmp_path / "run"
+    for cmd in ("gen-data", "prep-graph", "train"):
+        assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 0
+    blob = out / "normalizers.input_mu.f64"
+    mu = np.frombuffer(blob.read_bytes(), dtype="<f8").copy()
+    mu[0] += 1.0
+    blob.write_bytes(mu.tobytes())
+    args = build_parser().parse_args(["eval", "--config", str(cfg), "--out", str(out)])
+    with pytest.raises(ArtifactError, match=r"normalizers\.input_mu\.f64"):
+        args.fn(args)
+    assert not (out / "eval_report.json").exists()
+
+
+def test_bench_reports_gate_flops_per_graph_and_per_sample(tmp_path, capsys):
+    cfg = micro_config(tmp_path)
+    out = tmp_path / "run"
+    for cmd in ("gen-data", "prep-graph", "train", "bench"):
+        assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 0
+    flops = json.loads((out / "bench_summary.json").read_text())["flops"]
+    assert flops["per_graph"] > 0 and flops["per_sample"] > 0
+    assert flops["per_graph"] + flops["per_sample"] == flops["total"]
+    printed = capsys.readouterr().out
+    assert f"{flops['per_sample'] / 1e6:.1f} MFLOPs/sample served" in printed
+    assert f"{flops['per_graph'] / 1e6:.1f} MFLOPs of gates per graph" in printed
+
+
 def test_eval_refuses_checkpoint_of_another_graph(tmp_path, capsys):
     cfg = micro_config(tmp_path)
     out = tmp_path / "run"

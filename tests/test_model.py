@@ -1,7 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from virso_kit import autodiff as ad
+from virso_kit import model as model_mod
 from virso_kit.autodiff import constant, grad_check, no_grad
 from virso_kit.errors import ArtifactError, ConfigError, ShapeError
 from virso_kit.graphs import (
@@ -430,6 +434,118 @@ def test_gradient_integrity_small_full_model():
 
 
 # ---------------------------------------------------------------------------
+# the gate memo of untaped forwards
+
+
+def _count_edge_gates(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return edge_gates(*args)
+
+    monkeypatch.setattr(model_mod, "edge_gates", counted)
+    return calls
+
+
+def test_untaped_forwards_compute_each_block_gates_once(monkeypatch):
+    arts, _ = toy_artifacts()
+    model = VirsoModel(toy_config(T=3), seed=30)
+    calls = _count_edge_gates(monkeypatch)
+    rng = np.random.default_rng(30)
+    predict(model, arts, rng.standard_normal(7))
+    assert len(calls) == 3
+    for _ in range(9):
+        predict(model, arts, rng.standard_normal(7))
+    assert len(calls) == 3
+    model.params["block2.gate_w3"].data[0, 0] = np.nan  # NaN never equals its copy
+    predict(model, arts, rng.standard_normal(7))
+    predict(model, arts, rng.standard_normal(7))
+    assert len(calls) == 5
+
+
+def test_gate_memo_follows_in_place_parameter_updates():
+    arts, _ = toy_artifacts()
+    model = VirsoModel(toy_config(), seed=31)
+    u = np.random.default_rng(31).standard_normal(7)
+    before = predict(model, arts, u)
+    model.params["block1.gate_w1"].data -= 1e-3  # the way Adam updates
+    after = predict(model, arts, u)
+    fresh, _ = toy_artifacts()
+    assert np.array_equal(after, predict(model, fresh, u))
+    assert not np.array_equal(after, before)
+
+
+def test_taped_forward_bypasses_the_gate_memo():
+    rng = np.random.default_rng(32)
+    u, target = rng.standard_normal((3, 7)), rng.standard_normal((3, 30, 3))
+
+    def gate_grads(arts, fill_memo):
+        model = VirsoModel(toy_config(), seed=32)
+        if fill_memo:
+            predict(model, arts, u[0])
+        diff = ad.sub(forward(model, arts, u), constant(target))
+        ad.backward(ad.sum_all(ad.elementwise_mul(diff, diff)))
+        return {k: p.grad for k, p in model.params.items() if ".gate_w" in k}
+
+    filled_arts, _ = toy_artifacts()
+    filled = gate_grads(filled_arts, fill_memo=True)
+    plain_arts, _ = toy_artifacts()
+    plain = gate_grads(plain_arts, fill_memo=False)
+    assert len(filled_arts.gate_memo) == 2 and not plain_arts.gate_memo
+    assert len(filled) == 6 and filled.keys() == plain.keys()
+    for k, g in filled.items():
+        assert g is not None and np.array_equal(g, plain[k]), k
+
+
+def test_predict_with_memo_is_byte_identical_to_the_taped_forward():
+    arts, _ = toy_artifacts()
+    model = VirsoModel(toy_config(), seed=33)
+    inputs = np.random.default_rng(33).standard_normal((5, 7))
+    for u in inputs:
+        got = predict(model, arts, u)
+        ref = forward(model, arts, u[None, :]).data[0]  # taped: gates from edge_gates
+        assert got.tobytes() == ref.tobytes()
+    assert len(arts.gate_memo) == 2
+
+
+def test_threads_sharing_artifacts_get_their_own_models_gates():
+    arts, _ = toy_artifacts()
+    models = [VirsoModel(toy_config(), seed=s) for s in (34, 35)]
+    inputs = np.random.default_rng(34).standard_normal((4, 7))
+    refs = [[predict(m, toy_artifacts()[0], u) for u in inputs] for m in models]
+    wrong = []
+
+    def serve(k):
+        for r in range(30):
+            i = (k + r) % 2
+            got = predict(models[i], arts, inputs[r % 4])
+            if not np.array_equal(got, refs[i][r % 4]):
+                wrong.append((k, r))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=serve, args=(k,)) for k in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert not wrong
+
+
+def test_prepared_gate_inputs_are_read_only():
+    arts, _ = toy_artifacts()
+    with pytest.raises(ValueError):
+        arts.gate_base[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        arts.w_dir[0, 0] = 1.0
+
+
+# ---------------------------------------------------------------------------
 # FLOPs
 
 
@@ -449,6 +565,19 @@ def test_flop_count_linear_in_edges():
     assert f2["terms"]["spatial"] == 2 * f1["terms"]["spatial"]
     assert f2["terms"]["spectral"] == f1["terms"]["spectral"]
     assert f2["total"] - f1["total"] == f1["terms"]["spatial"]
+
+
+def test_flop_count_splits_gates_per_graph_from_per_sample_work():
+    cfg = toy_config()
+    f1 = flop_count(cfg, n=100, e=500)
+    f2 = flop_count(cfg, n=100, e=1000)
+    for fl in (f1, f2):
+        assert fl["per_graph"] + fl["per_sample"] == fl["total"]
+    assert f2["per_graph"] == 2 * f1["per_graph"] > 0
+    gate = 2 * (2 * cfg.alpha_anchors + cfg.gate_weight_width) * cfg.gate_hidden \
+        + 2 * cfg.gate_hidden
+    assert f1["per_graph"] == cfg.T * 2 * 500 * gate
+    assert flop_count(toy_config(variant="spectral_only"), n=100, e=500)["per_graph"] == 0
 
 
 def test_flop_count_published_order_of_magnitude():
