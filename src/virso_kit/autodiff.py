@@ -168,16 +168,6 @@ def add(a: Value, b: Value) -> Value:
     return _node(a.data + b.data, (a, b), bwd)
 
 
-def sub(a: Value, b: Value) -> Value:
-    _same_shape(a, b, "sub")
-
-    def bwd(g):
-        _accum(a, g)
-        _accum(b, -g)
-
-    return _node(a.data - b.data, (a, b), bwd)
-
-
 def scalar_mul(a: Value, c: float) -> Value:
     c = float(c)
 
@@ -294,14 +284,14 @@ def _padded_plan(recv: np.ndarray, send: np.ndarray, n: int) -> list:
     return plan
 
 
-def _node_major(a: np.ndarray) -> np.ndarray:
-    """(..., n, d) -> (n + 1, prod(...) * d), with a zero row n.
+def _padded_rows(a: np.ndarray) -> np.ndarray:
+    """(n, ...) -> (n + 1, prod(...)), with a zero row n.
 
-    Padding slots read row n with gate 0, so they add exactly 0 and a NaN in
-    one real row cannot reach another.
+    Padding slots read row n with weight 0, so they add exactly 0 and a NaN
+    in one real row cannot reach another.
     """
-    z = np.zeros((a.shape[-2] + 1,) + a.shape[:-2] + a.shape[-1:])
-    z[:-1] = np.moveaxis(a, -2, 0)
+    z = np.zeros((a.shape[0] + 1,) + a.shape[1:])
+    z[:-1] = a
     return z.reshape(z.shape[0], -1)
 
 
@@ -316,9 +306,9 @@ def _padded_sum(wz: np.ndarray, zn: np.ndarray, plan: list, n: int) -> np.ndarra
 class EdgeList:
     """Directed edges src[e] -> dst[e] over n nodes, with both padded plans.
 
-    Build once per graph: the plan by `dst` sums messages into receivers and
-    gives the gate gradient, the plan by `src` sums their gradients back into
-    senders.
+    Build once per graph: the plan by `dst` sums messages into receivers
+    (`sum_in`) and gives the gate gradient, the plan by `src` sums their
+    gradients back into senders.
     """
 
     __slots__ = ("src", "dst", "n", "by_dst", "by_src")
@@ -335,6 +325,14 @@ class EdgeList:
         self.by_dst = _padded_plan(dst, src, self.n)
         self.by_src = _padded_plan(src, dst, self.n)
 
+    def sum_in(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """out[v] = sum over edges u->v of w[e] * x[u], one matmul per bucket.
+
+        `w` is (E,) and `x` is (n, ...); `out` is (n, k), the trailing axes of
+        `x` flattened to k columns.
+        """
+        return _padded_sum(np.append(w, 0.0), _padded_rows(x), self.by_dst, self.n)
+
 
 def gated_aggregate(x: Value, gates: Value, edges: EdgeList) -> Value:
     """Gated one-hop sum: out[.., v, :] = sum over edges u->v of gates[e] * x[.., u, :].
@@ -347,20 +345,19 @@ def gated_aggregate(x: Value, gates: Value, edges: EdgeList) -> Value:
           f"gated_aggregate: input {x.data.shape} over {n} nodes")
     _want(gates.data.shape == (edges.src.size, 1),
           f"gated_aggregate: gates {gates.data.shape} for {edges.src.size} edges")
-    shape = (n,) + x.data.shape[:-2] + x.data.shape[-1:]
-    wz = np.append(gates.data[:, 0], 0.0)
-    xz = _node_major(x.data)
+    xn = np.moveaxis(x.data, -2, 0)
 
     def bwd(g):
-        gz = _node_major(g)
-        _accum(x, np.moveaxis(_padded_sum(wz, gz, edges.by_src, n).reshape(shape), 0, -2))
+        wz = np.append(gates.data[:, 0], 0.0)
+        xz, gz = _padded_rows(xn), _padded_rows(np.moveaxis(g, -2, 0))
+        _accum(x, np.moveaxis(_padded_sum(wz, gz, edges.by_src, n).reshape(xn.shape), 0, -2))
         dgates = np.zeros(wz.size)
         for rows, eid, peer in edges.by_dst:
             dgates[eid] = np.matmul(np.take(xz, peer, axis=0), gz[rows][:, :, None])[:, :, 0]
         _accum(gates, dgates[:-1, None])
 
-    out = _padded_sum(wz, xz, edges.by_dst, n)
-    return _node(np.moveaxis(out.reshape(shape), 0, -2), (x, gates), bwd)
+    out = edges.sum_in(gates.data[:, 0], xn)
+    return _node(np.moveaxis(out.reshape(xn.shape), 0, -2), (x, gates), bwd)
 
 
 def mode1_product(k: Value, c: Value) -> Value:

@@ -362,8 +362,9 @@ def _ablation_model_cfg(cfg, ds, points, variant_key):
 def cmd_ablate(args) -> int:
     import csv as _csv
 
+    from .errors import InvalidParameterError
     from .model import VirsoModel, param_count
-    from .training import evaluate, train
+    from .training import train
 
     cfg = load_config(args.config, args.seed)
     out = Path(args.out)
@@ -378,15 +379,16 @@ def cmd_ablate(args) -> int:
         for variant_key in _ABLATION_ORDER:
             mc = _ablation_model_cfg(cfg, ds, points, variant_key)
             model = VirsoModel(mc, seed=cfg["seed"])
-            _, input_norm, target_norm = train(model, ds, arts, _schedule(cfg))
-            ev = evaluate(model, ds, arts, input_norm, target_norm, split="test")
+            test = train(model, ds, arts, _schedule(cfg))[0].final_test
+            if test is None:
+                raise InvalidParameterError("ablation needs a non-empty test split")
             rows.append({
                 "graph": method,
                 "variant": variant_key,
                 "params": param_count(mc),
                 "edges": graph.edge_count,
-                "test_mean_err_percent": 100 * ev.mean,
-                "per_channel_percent": (100 * ev.per_channel_mean).tolist(),
+                "test_mean_err_percent": test["mean_percent"],
+                "per_channel_percent": test["per_channel_mean_percent"],
             })
             print(f"ablate: {method}/{variant_key}: "
                   f"{rows[-1]['test_mean_err_percent']:.3f}%")

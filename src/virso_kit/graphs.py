@@ -323,7 +323,7 @@ def _within_query(coords: np.ndarray, grid: "_CellGrid", i: int, r: float) -> np
     return grid.within(i, r)
 
 
-def _symmetrize(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+def _symmetrize(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Union of directed edges as canonical undirected pairs."""
     u = np.minimum(src, dst)
     v = np.maximum(src, dst)
@@ -343,7 +343,7 @@ def build_knn(points: PointCloud, k: int) -> Graph:
     neigh = _knn_neighbor_lists(points, ks)
     src = np.repeat(np.arange(points.n), [a.size for a in neigh])
     dst = np.concatenate(neigh)
-    edges = _symmetrize(points.n, src, dst)
+    edges = _symmetrize(src, dst)
     return Graph(points.n, edges, presym_out_degree=ks)
 
 
@@ -390,7 +390,7 @@ def build_vknn(points: PointCloud, cfg: VknnConfig) -> Graph:
     neigh = _knn_neighbor_lists(points, ks)
     src = np.repeat(np.arange(points.n), [a.size for a in neigh])
     dst = np.concatenate(neigh)
-    edges = _symmetrize(points.n, src, dst)
+    edges = _symmetrize(src, dst)
     return Graph(points.n, edges, presym_out_degree=ks)
 
 
@@ -476,10 +476,6 @@ def anchor_embeddings(graph: Graph, alpha_anchors: int, seed: int) -> AnchorEmbe
         h = h / max_hop
     h[~np.isfinite(h)] = 1.0
     return AnchorEmbedding(h=h, anchor_ids=anchor_ids.astype(np.int64), seed=seed)
-
-
-def recommended_anchor_count(n: int) -> int:
-    return int(np.ceil(np.log2(max(n, 2))) ** 2)
 
 
 # ---------------------------------------------------------------------------

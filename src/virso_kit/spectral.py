@@ -2,7 +2,9 @@
 
 The symmetric degree-normalized Laplacian L = I - D^{-1/2} A D^{-1/2}
 (binary or weighted adjacency) has a real spectrum in [0, 2] and, on a
-connected graph, a null space spanned by D^{1/2} 1. The m lowest
+connected graph, a null space spanned by D^{1/2} 1. It is held as an
+`autodiff.EdgeList` with one value per directed edge and per self-loop, and
+applied through that list's padded plan, not as CSR. The m lowest
 eigenpairs are computed by a block LOBPCG iteration; a dense symmetric
 eigendecomposition serves as the reference for small problems.
 
@@ -17,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import EdgeList
 from .blobio import F64, load_artifact, save_artifact
 from .errors import (
     ArtifactError,
@@ -30,38 +33,30 @@ from .graphs import Graph
 
 @dataclass(frozen=True)
 class SparseLaplacian:
-    """Symmetric CSR matrix with unit diagonal (non-isolated nodes)."""
+    """Symmetric sparse matrix: L[dst[e], src[e]] = data[e] over `edges`.
+
+    The unit diagonal of a non-isolated node is held as its self-loop, so
+    `L @ x` is one `EdgeList.sum_in`, the sum that serves the spatial branch.
+    """
 
     n: int
-    indptr: np.ndarray
-    indices: np.ndarray
+    edges: EdgeList
     data: np.ndarray
     weighted: bool
 
     def matmat(self, x: np.ndarray) -> np.ndarray:
         """L @ x for x of shape (n,) or (n, k)."""
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[:, None]
         if x.shape[0] != self.n:
             raise ShapeError(f"operand has {x.shape[0]} rows, Laplacian is {self.n}")
-        prods = x[self.indices]
-        prods *= self.data[:, None]
-        # every row holds at least the diagonal, so reduceat segments are valid
-        out = np.add.reduceat(prods, self.indptr[:-1], axis=0)
-        return out[:, 0] if squeeze else out
+        out = self.edges.sum_in(self.data, x)
+        return out[:, 0] if x.ndim == 1 else out
 
     def __matmul__(self, x):
         return self.matmat(x)
 
-    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        return rows, self.indices, self.data
-
     def to_dense(self) -> np.ndarray:
-        rows, cols, vals = self.entries()
         dense = np.zeros((self.n, self.n))
-        dense[rows, cols] = vals
+        dense[self.edges.dst, self.edges.src] = self.data
         return dense
 
 
@@ -118,15 +113,11 @@ def normalized_laplacian(graph: Graph, weighted: bool = False) -> SparseLaplacia
     e = graph.edges
     ew = graph.weights if weighted else np.ones(e.shape[0])
     off = -ew * inv_sqrt[e[:, 0]] * inv_sqrt[e[:, 1]]
-    rows = np.concatenate([e[:, 0], e[:, 1], np.arange(graph.n)])
-    cols = np.concatenate([e[:, 1], e[:, 0], np.arange(graph.n)])
-    vals = np.concatenate([off, off, np.ones(graph.n)])
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    indptr = np.zeros(graph.n + 1, dtype=np.int64)
-    np.add.at(indptr, rows + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return SparseLaplacian(graph.n, indptr, cols, vals, weighted)
+    loops = np.arange(graph.n)
+    edges = EdgeList(np.concatenate([e[:, 1], e[:, 0], loops]),
+                     np.concatenate([e[:, 0], e[:, 1], loops]), graph.n)
+    return SparseLaplacian(graph.n, edges, np.concatenate([off, off, np.ones(graph.n)]),
+                           weighted)
 
 
 def _fix_signs(q: np.ndarray) -> np.ndarray:

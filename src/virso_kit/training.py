@@ -395,11 +395,10 @@ def train(model: VirsoModel, dataset: Dataset, arts: GraphArtifacts,
         wall_time_s=time.perf_counter() - t_start,
         epochs_run=epoch,
     )
-    if "test" in (dataset.splits.tolist() if dataset.splits is not None else []):
-        test_idx = dataset.indices_of("test")
-        if test_idx.size:
-            ev = evaluate(model, dataset, arts, input_norm, target_norm, split="test")
-            report.final_test = ev.as_dict()
+    test_idx = dataset.indices_of("test")
+    if test_idx.size:
+        ev = evaluate(model, dataset, arts, input_norm, target_norm, split="test")
+        report.final_test = ev.as_dict()
     if out_dir is not None:
         save_train_report(report, out_dir)
     return report, input_norm, target_norm

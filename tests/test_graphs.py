@@ -442,14 +442,6 @@ def test_anchor_unreachable_maps_to_one():
         break
 
 
-def test_recommended_anchor_count_log_squared():
-    from virso_kit.graphs import recommended_anchor_count
-
-    assert recommended_anchor_count(3977) == 144  # ceil(log2 n)^2
-    assert recommended_anchor_count(400) == 81
-    assert recommended_anchor_count(2) == 1
-
-
 def test_anchor_param_validation_and_determinism():
     g = Graph(3, np.array([[0, 1], [1, 2]]))
     with pytest.raises(InvalidParameterError):

@@ -425,7 +425,7 @@ def test_gradient_integrity_small_full_model():
     target = rng.standard_normal((2, 20, 3))
 
     def loss_fn():
-        diff = ad.sub(forward(model, arts, u), constant(target))
+        diff = ad.add(forward(model, arts, u), ad.scalar_mul(constant(target), -1.0))
         return ad.sum_all(ad.elementwise_mul(diff, diff))
 
     # FD roundoff on the composed model dominates below ~1e-5 rel
@@ -484,7 +484,7 @@ def test_taped_forward_bypasses_the_gate_memo():
         model = VirsoModel(toy_config(), seed=32)
         if fill_memo:
             predict(model, arts, u[0])
-        diff = ad.sub(forward(model, arts, u), constant(target))
+        diff = ad.add(forward(model, arts, u), ad.scalar_mul(constant(target), -1.0))
         ad.backward(ad.sum_all(ad.elementwise_mul(diff, diff)))
         return {k: p.grad for k, p in model.params.items() if ".gate_w" in k}
 

@@ -8,7 +8,14 @@ from virso_kit.errors import (
     InvalidParameterError,
     ShapeError,
 )
-from virso_kit.graphs import Graph, PointCloud, build_knn, compute_edge_weights
+from virso_kit.graphs import (
+    Graph,
+    PointCloud,
+    VknnConfig,
+    build_knn,
+    build_vknn,
+    compute_edge_weights,
+)
 from virso_kit.spectral import (
     EigenBasis,
     dense_eigen_reference,
@@ -19,6 +26,7 @@ from virso_kit.spectral import (
     normalized_laplacian,
     save_eigen_basis,
 )
+from virso_kit.synthetic import SynthSpec, generate_points
 
 
 def random_knn_graph(n, k, seed):
@@ -84,6 +92,23 @@ def test_weighted_equals_unweighted_for_unit_weights():
     lw = normalized_laplacian(unit, weighted=True)
     lu = normalized_laplacian(g, weighted=False)
     assert np.array_equal(lw.to_dense(), lu.to_dense())
+
+
+def test_laplacian_apply_matches_dense_across_degree_buckets():
+    pts = generate_points(SynthSpec(n_target=400, seed=0))
+    g = build_vknn(pts, VknnConfig(k_min=4, k_max=16, density_radius=0.1))
+    rng = np.random.default_rng(9)
+    for lap in (normalized_laplacian(g),
+                normalized_laplacian(compute_edge_weights(g, pts), weighted=True)):
+        assert len(lap.edges.by_dst) >= 3
+        dense = lap.to_dense()
+        for x in (rng.standard_normal(g.n), rng.standard_normal((g.n, 5))):
+            want = dense @ x
+            got = lap @ x
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        with pytest.raises(ShapeError):
+            lap @ np.ones((g.n + 1, 2))
 
 
 def test_null_space_aligned_with_sqrt_degree():
