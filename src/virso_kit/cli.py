@@ -215,21 +215,21 @@ def _load_trained(cfg, args):
 
     out = Path(args.out)
     ckpt = Path(args.checkpoint) if args.checkpoint else out / "checkpoint.json"
-    model, graph_hash = load_checkpoint(ckpt)
-    for key in ("variant", "alpha_anchors", "m"):
-        cfg["model"][key] = getattr(model.config, key)
-    ds, _, arts = _load_artifacts(cfg, out)
+    loaded = []
+
+    def rebuilt_anchors(config):
+        """Artifacts for the checkpoint's architecture; returns their anchor ids."""
+        for key in ("variant", "alpha_anchors", "m"):
+            cfg["model"][key] = getattr(config, key)
+        loaded.append(_load_artifacts(cfg, out))
+        return loaded[0][2].anchors.anchor_ids
+
+    model, graph_hash = load_checkpoint(ckpt, expected_anchor_ids=rebuilt_anchors)
+    (ds, _, arts), = loaded
     if graph_hash != arts.graph.content_hash():
         raise ArtifactError(
             f"checkpoint {ckpt} was trained on graph {graph_hash}, but "
             f"{_graph_dir(out) / 'graph.json'} is graph {arts.graph.content_hash()}"
-        )
-    trained_anchors = json.loads(ckpt.read_text())["anchor_ids"]
-    anchors = arts.anchors.anchor_ids.tolist()
-    if trained_anchors is not None and trained_anchors != anchors:
-        raise ArtifactError(
-            f"checkpoint {ckpt} was trained with anchors {trained_anchors}, but "
-            f"graph.anchor_seed={cfg['graph']['anchor_seed']} gives anchors {anchors}"
         )
     return (model, ds, arts, *load_normalizers(ckpt.parent / "normalizers.json"))
 

@@ -3,7 +3,10 @@
 A sparse boundary observation vector is embedded by a shallow FCN,
 broadcast to every node, concatenated with node coordinates, lifted to a
 hidden function dimension, refined by T spectral-spatial collaboration
-blocks, and downlifted to the multi-channel output field.
+blocks, and downlifted to the multi-channel output field. The embedding
+FCN, the nonlinear collaboration and the downlift are each one
+`ad.gelu_mlp` op (dense -> GELU -> dense), so their hidden layers never
+stay on the tape.
 
 Per block:
   spectral   v_spec = layer_norm(gelu(Q (K x1 Q^T v) + v W_skip))
@@ -20,6 +23,7 @@ the graph artifacts, keyed by the exact gate parameter values.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -240,8 +244,7 @@ def _embed(model: VirsoModel, u: Value) -> Value:
     p = model.params
     if model.config.embed_hidden == 0:
         return ad.add_rowvec(ad.matmul(u, p["embed.w"]), p["embed.b"])
-    h = ad.gelu(ad.add_rowvec(ad.matmul(u, p["embed.w1"]), p["embed.b1"]))
-    return ad.add_rowvec(ad.matmul(h, p["embed.w2"]), p["embed.b2"])
+    return ad.gelu_mlp(u, p["embed.w1"], p["embed.b1"], p["embed.w2"], p["embed.b2"])
 
 
 def spectral_block(v: Value, qm: Value, qm_t: Value, kernel: Value,
@@ -292,14 +295,14 @@ def spatial_block(v: Value, arts: GraphArtifacts, spat_w: Value,
 def collaboration(v_spat: Value | None, v_spec: Value | None, model: VirsoModel,
                   t: int, v_prev: Value) -> Value:
     """Merge branch outputs; absent branches feed the skip directly."""
-    c = model.config
+    c, p = model.config, model.params
     if v_spat is not None and v_spec is not None:
         z = ad.concat_cols(v_spat, v_spec)
-        y = ad.add_rowvec(ad.matmul(z, model.params[f"block{t}.collab_w1"]),
-                          model.params[f"block{t}.collab_b1"])
         if c.collaboration == "nonlinear":
-            y = ad.add_rowvec(ad.matmul(ad.gelu(y), model.params[f"block{t}.collab_w2"]),
-                              model.params[f"block{t}.collab_b2"])
+            y = ad.gelu_mlp(z, p[f"block{t}.collab_w1"], p[f"block{t}.collab_b1"],
+                            p[f"block{t}.collab_w2"], p[f"block{t}.collab_b2"])
+        else:
+            y = ad.add_rowvec(ad.matmul(z, p[f"block{t}.collab_w1"]), p[f"block{t}.collab_b1"])
     else:
         y = v_spec if v_spec is not None else v_spat
     return ad.add(y, v_prev) if c.use_identity_skip else y
@@ -355,8 +358,7 @@ def forward(model: VirsoModel, arts: GraphArtifacts, u_batch: np.ndarray) -> Val
         except (ShapeError, ConfigError) as err:
             raise type(err)(f"block {t}: {err}") from err
 
-    h = ad.gelu(ad.add_rowvec(ad.matmul(v, p["down.w1"]), p["down.b1"]))
-    return ad.add_rowvec(ad.matmul(h, p["down.w2"]), p["down.b2"])
+    return ad.gelu_mlp(v, p["down.w1"], p["down.b1"], p["down.w2"], p["down.b2"])
 
 
 def predict(model: VirsoModel, arts: GraphArtifacts, u_q: np.ndarray) -> np.ndarray:
@@ -432,14 +434,27 @@ def save_checkpoint(model: VirsoModel, out_dir: Path, graph_hash: str | None = N
     )
 
 
-def load_checkpoint(manifest_path: Path) -> tuple[VirsoModel, str | None]:
+def load_checkpoint(manifest_path: Path,
+                    expected_anchor_ids: Callable[[VirsoConfig], Sequence[int]] | None = None,
+                    ) -> tuple[VirsoModel, str | None]:
     """Model and graph hash from `save_checkpoint` output.
 
     The manifest must list exactly the architecture's parameters with their
     shapes; their values are the checked blob, in sorted-name order.
+
+    `expected_anchor_ids`, when given, maps the checkpoint's `VirsoConfig`
+    to the anchor ids the caller rebuilt for it (a function, because the
+    anchor count is the checkpoint's own). It is called once, and a
+    checkpoint that recorded other anchors is refused.
     """
     man, arrays = load_artifact(manifest_path, "checkpoint")
     model = VirsoModel(VirsoConfig(**man["config"]), seed=0, allow_degenerate_t=True)
+    if expected_anchor_ids is not None:
+        trained = man["anchor_ids"]
+        expected = [int(a) for a in expected_anchor_ids(model.config)]
+        if trained is not None and trained != expected:
+            raise ArtifactError(f"checkpoint {manifest_path} was trained with anchors "
+                                f"{trained}, but the anchors rebuilt for it are {expected}")
     shapes = {entry["name"]: tuple(entry["shape"]) for entry in man["params"]}
     missing = sorted(set(model.params) - set(shapes))
     extra = sorted(set(shapes) - set(model.params))

@@ -246,6 +246,78 @@ def test_fd_activations_and_sqrt():
     check_op(lambda x: ad.relu(x), [a + 0.05])  # keep clear of the kink
 
 
+def test_gelu_is_byte_identical_to_the_written_out_expressions():
+    rng = np.random.default_rng(40)
+    x = rng.uniform(-20.0, 20.0, size=(6, 50, 7))
+    g = rng.standard_normal(x.shape)
+    c = np.sqrt(2.0 / np.pi)
+    x2 = x * x
+    t = np.tanh(c * (x + 0.044715 * (x2 * x)))
+    value = 0.5 * x * (1 + t)
+    grad = g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * c * (1 + 3 * 0.044715 * x2))
+    a = param(x.copy())
+    out = ad.gelu(a)
+    backward(ad.sum_all(ad.elementwise_mul(out, constant(g))))
+    assert np.array_equal(out.data, value)
+    assert np.array_equal(a.grad, grad)
+
+
+def _mlp_operands(rng, shape, hidden, k):
+    d = shape[-1]
+    return [rng.standard_normal(shape), rng.standard_normal((d, hidden)) / np.sqrt(d),
+            rng.standard_normal((1, hidden)), rng.standard_normal((hidden, k)) / np.sqrt(hidden),
+            rng.standard_normal((1, k))]
+
+
+def test_fd_gelu_mlp():
+    rng = np.random.default_rng(41)
+    for shape in ((4, 3), (2, 5, 3)):
+        check_op(lambda x, w1, b1, w2, b2: ad.gelu_mlp(x, w1, b1, w2, b2),
+                 _mlp_operands(rng, shape, 6, 2))
+
+
+def _composed_mlp(x, w1, b1, w2, b2):
+    hidden = ad.gelu(ad.add_rowvec(ad.matmul(x, w1), b1))
+    return ad.add_rowvec(ad.matmul(hidden, w2), b2)
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (3, 301, 4)])
+def test_gelu_mlp_matches_the_composed_chain(shape):
+    rng = np.random.default_rng(42)
+    arrays = _mlp_operands(rng, shape, 9, 3)
+    if len(shape) == 3:  # several row blocks, the last one partial
+        rows = shape[0] * shape[1]
+        assert rows > 2 * ad._MLP_ROWS and rows % ad._MLP_ROWS
+    weight = rng.standard_normal(shape[:-1] + (3,))
+    results = []
+    for op in (ad.gelu_mlp, _composed_mlp):
+        params = [param(a.copy()) for a in arrays]
+        out = op(*params)
+        backward(ad.sum_all(ad.elementwise_mul(out, constant(weight))))
+        results.append([out.data] + [p.grad for p in params])
+    (out, *grads), (ref, *ref_grads) = results
+    assert out.shape == ref.shape
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+    for g, r in zip(grads, ref_grads):
+        assert g.shape == r.shape
+        assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
+
+
+def test_gelu_mlp_rejects_bad_shapes():
+    rng = np.random.default_rng(43)
+    x, w1, b1, w2, b2 = map(constant, _mlp_operands(rng, (4, 3), 6, 2))
+    bad = [
+        (constant(np.ones(3)), w1, b1, w2, b2),          # input without a row axis
+        (x, constant(np.ones((4, 6))), b1, w2, b2),      # w1 rows != input width
+        (x, w1, constant(np.ones((6,))), w2, b2),        # b1 not (1, h)
+        (x, w1, b1, constant(np.ones((5, 2))), b2),      # w2 rows != hidden width
+        (x, w1, b1, w2, constant(np.ones((2, 2)))),      # b2 not (1, k)
+    ]
+    for operands in bad:
+        with pytest.raises(ShapeError, match="gelu_mlp"):
+            ad.gelu_mlp(*operands)
+
+
 def test_fd_norm_ops():
     rng = np.random.default_rng(10)
     a = rng.standard_normal((2, 5, 6))

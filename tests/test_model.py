@@ -268,6 +268,28 @@ def test_spatial_branch_keeps_nothing_edge_sized_on_the_tape():
     assert not [a.shape for a in held if a.ndim == 3 and a.shape[-2] == e]
 
 
+def test_downlift_hidden_layer_stays_off_the_tape():
+    from virso_kit.training import Normalizer, batch_loss
+
+    arts, _ = toy_artifacts()
+    model = VirsoModel(toy_config(down_hidden=37), seed=8)
+    rng = np.random.default_rng(7)
+    truth = rng.standard_normal((4, 30, 3))
+    root = batch_loss(model, arts, rng.standard_normal((4, 7)), truth,
+                      Normalizer().fit(truth), divisor=4)
+    stack, seen, held = [root], set(), []
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+        held.append(node.data)
+    assert len(seen) > 50
+    # down.w1 (6, 37) and down.b1 (1, 37) are the only 37-wide arrays
+    assert sorted(a.shape for a in held if a.shape[-1:] == (37,)) == [(1, 37), (6, 37)]
+
+
 def test_spatial_requires_weights():
     rng = np.random.default_rng(10)
     pts = PointCloud(rng.uniform(0, 1, size=(10, 2)))
@@ -509,6 +531,20 @@ def test_predict_with_memo_is_byte_identical_to_the_taped_forward():
     assert len(arts.gate_memo) == 2
 
 
+def test_batch1_predictions_equal_rows_of_one_batched_forward():
+    # 5 x 200 node rows span several of gelu_mlp's row blocks, whose
+    # boundaries fall elsewhere when a sample runs alone
+    arts, _ = toy_artifacts(n=200)
+    model = VirsoModel(toy_config(collaboration="nonlinear"), seed=36)
+    inputs = np.random.default_rng(36).standard_normal((5, 7))
+    assert inputs.shape[0] * arts.graph.n > 3 * ad._MLP_ROWS
+    with no_grad():
+        batched = forward(model, arts, inputs).data
+    for u, row in zip(inputs, batched):
+        got = predict(model, arts, u)
+        assert np.max(np.abs(got - row)) <= 1e-12 * np.max(np.abs(row))
+
+
 def test_threads_sharing_artifacts_get_their_own_models_gates():
     arts, _ = toy_artifacts()
     models = [VirsoModel(toy_config(), seed=s) for s in (34, 35)]
@@ -608,6 +644,23 @@ def test_checkpoint_round_trip(tmp_path):
     a = predict(model, arts, u)
     b = predict(loaded, arts, u)
     assert np.array_equal(a, b)  # float64 storage: the reloaded model is the saved one
+
+
+def test_checkpoint_refuses_other_expected_anchors(tmp_path):
+    model = VirsoModel(toy_config(), seed=24)
+    man = save_checkpoint(model, tmp_path, anchor_ids=np.array([2, 5, 9]))
+    asked = []
+
+    def rebuilt(config):
+        asked.append(config.alpha_anchors)
+        return np.array([2, 5, 9])
+
+    loaded, _ = load_checkpoint(man, expected_anchor_ids=rebuilt)
+    assert asked == [3] and loaded.config == model.config
+    with pytest.raises(ArtifactError, match=r"anchors \[2, 5, 9\].*\[2, 5, 8\]"):
+        load_checkpoint(man, expected_anchor_ids=lambda config: [2, 5, 8])
+    unrecorded = save_checkpoint(model, tmp_path / "plain")
+    load_checkpoint(unrecorded, expected_anchor_ids=lambda config: [2, 5, 8])
 
 
 def _corrupt_manifest(man, fault):
