@@ -308,10 +308,11 @@ class EdgeList:
 
     Build once per graph: the plan by `dst` sums messages into receivers
     (`sum_in`) and gives the gate gradient, the plan by `src` sums their
-    gradients back into senders.
+    gradients back into senders. The plan by `src` is built when a backward
+    pass first reads it.
     """
 
-    __slots__ = ("src", "dst", "n", "by_dst", "by_src")
+    __slots__ = ("src", "dst", "n", "by_dst", "_by_src")
 
     def __init__(self, src: np.ndarray, dst: np.ndarray, n: int):
         src = np.asarray(src, dtype=np.int64)
@@ -323,7 +324,14 @@ class EdgeList:
               f"EdgeList: endpoint out of range [0, {n})")
         self.src, self.dst, self.n = src, dst, int(n)
         self.by_dst = _padded_plan(dst, src, self.n)
-        self.by_src = _padded_plan(src, dst, self.n)
+        self._by_src = None
+
+    @property
+    def by_src(self) -> list:
+        # threads that race here build equal plans, so either one may be kept
+        if self._by_src is None:
+            self._by_src = _padded_plan(self.src, self.dst, self.n)
+        return self._by_src
 
     def sum_in(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
         """out[v] = sum over edges u->v of w[e] * x[u], one matmul per bucket.

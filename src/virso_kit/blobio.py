@@ -6,8 +6,9 @@ holds and its `blobs` table records, for each blob, the file name, dtype,
 shape, byte size and sha256 of its bytes. `load_artifact` reads them back
 and refuses, with an `ArtifactError` naming the file, a wrong kind, a
 missing blob, a byte size that disagrees with the table or with dtype x
-shape, a hash mismatch, and a missing manifest or one from before the
-table existed (naming the command that rebuilds it).
+shape, a hash mismatch, a manifest that does not parse as a JSON object,
+and a missing manifest or one from before the table existed (naming the
+command that rebuilds it).
 Floats are 64-bit in memory and 32-bit on disk, except the eigenbasis, the
 model parameters and the normalizers, which are stored as 64-bit so that
 they reload exactly.
@@ -58,7 +59,12 @@ def load_artifact(manifest_path: Path, kind: str) -> tuple[dict, dict[str, np.nd
     if not manifest_path.is_file():
         raise ArtifactError(f"missing artifact {manifest_path}: run `virso-kit "
                             f"{_PRODUCERS[kind]}` first")
-    man = json.loads(manifest_path.read_text())
+    try:
+        man = json.loads(manifest_path.read_text())
+    except ValueError as err:
+        raise ArtifactError(f"{manifest_path} is not a readable JSON manifest: {err}") from None
+    if not isinstance(man, dict):
+        raise ArtifactError(f"{manifest_path} holds a JSON {type(man).__name__}, not a manifest")
     if "blobs" not in man:
         raise ArtifactError(f"{manifest_path} was written by an earlier virso-kit without a "
                             f"blob table; rebuild it with `virso-kit {_PRODUCERS[kind]}`")

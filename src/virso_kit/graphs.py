@@ -13,8 +13,11 @@ brute-force construction agree bit-exactly.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import logging
+import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -177,12 +180,17 @@ class AnchorEmbedding:
 # ---------------------------------------------------------------------------
 # spatial index
 
-_SMALL_N_BRUTE = 64
-
 
 def _sq_dists(coords: np.ndarray, i: int, cand: np.ndarray) -> np.ndarray:
     diff = coords[cand] - coords[i]
     return np.einsum("ij,ij->i", diff, diff)
+
+
+@functools.cache
+def _ring_offsets(r: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """Cell offsets at Chebyshev radius r in d dimensions, first axis slowest."""
+    return tuple(o for o in itertools.product(range(-r, r + 1), repeat=d)
+                 if max(map(abs, o)) == r)
 
 
 class _CellGrid:
@@ -191,56 +199,36 @@ class _CellGrid:
     Queries expand Chebyshev rings of cells; any unscanned point beyond
     ring r is at Euclidean distance >= r * cell, which bounds the search.
     Distances are computed with `_sq_dists` so results match brute force.
+
+    A cloud whose grid would need more than 1024 rings (a thin slab or a
+    near-collinear cloud) gets one cell twice its span wide instead. Ring 0
+    then holds every point in index order, which is exactly the brute-force
+    scan, and no point lies beyond it.
     """
 
     def __init__(self, coords: np.ndarray):
         self.coords = coords
-        n, d = coords.shape
-        self.lo = coords.min(axis=0)
-        span = coords.max(axis=0) - self.lo
+        n = coords.shape[0]
+        lo = coords.min(axis=0)
+        span = coords.max(axis=0) - lo
         live = span[span > 0]
         cell = (float(np.prod(live)) * 2.0 / n) ** (1.0 / live.size) if live.size else 1.0
         if not np.isfinite(cell) or cell <= 0:
             cell = 1.0
+        if np.ceil(span.max() / cell) + 1 > 1024:
+            cell = 2.0 * float(span.max())
         self.cell = cell
-        self.max_ring = int(np.ceil(span.max() / cell)) + 1
-        # near-degenerate spans (thin slabs, collinear clouds) blow up the
-        # ring enumeration; callers fall back to the brute path instead
-        self.degenerate = self.max_ring > 1024
-        if self.degenerate:
-            return
-        idx = np.floor((coords - self.lo) / cell).astype(np.int64)
+        idx = np.floor((coords - lo) / cell).astype(np.int64)
+        self.max_ring = int(idx.max())  # no two points' cells are more rings apart
+        self.point_cell = list(map(tuple, idx.tolist()))
         buckets: dict[tuple, list[int]] = defaultdict(list)
-        for i, key in enumerate(map(tuple, idx)):
+        for i, key in enumerate(self.point_cell):
             buckets[key].append(i)
         self.buckets = {k: np.array(v, dtype=np.int64) for k, v in buckets.items()}
-        self.point_cell = idx
 
-    def _ring_members(self, center: np.ndarray, r: int) -> list[np.ndarray]:
-        d = center.shape[0]
-        out = []
-        if r == 0:
-            got = self.buckets.get(tuple(center))
-            return [got] if got is not None else []
-        rng = range(-r, r + 1)
-        if d == 2:
-            for dx in rng:
-                for dy in rng:
-                    if max(abs(dx), abs(dy)) != r:
-                        continue
-                    got = self.buckets.get((center[0] + dx, center[1] + dy))
-                    if got is not None:
-                        out.append(got)
-        else:
-            for dx in rng:
-                for dy in rng:
-                    for dz in rng:
-                        if max(abs(dx), abs(dy), abs(dz)) != r:
-                            continue
-                        got = self.buckets.get((center[0] + dx, center[1] + dy, center[2] + dz))
-                        if got is not None:
-                            out.append(got)
-        return out
+    def _ring_members(self, center: tuple[int, ...], r: int) -> list[np.ndarray]:
+        keys = (tuple(map(operator.add, center, o)) for o in _ring_offsets(r, len(center)))
+        return [got for got in map(self.buckets.get, keys) if got is not None]
 
     def knn(self, i: int, k: int) -> np.ndarray:
         """Indices of the k nearest neighbors of node i, ties by lower index."""
@@ -249,7 +237,7 @@ class _CellGrid:
         count = 0
         trimmed = False  # once trimmed, parts exclude i and hold the best k
         best = None
-        for r in range(self.max_ring + 2):
+        for r in range(self.max_ring + 1):
             for part in self._ring_members(center, r):
                 cand_parts.append(part)
                 count += part.size
@@ -278,57 +266,23 @@ class _CellGrid:
         """Indices j != i with ||x_j - x_i|| <= radius (boundary inclusive)."""
         center = self.point_cell[i]
         r_cells = int(np.ceil(radius / self.cell)) + 1
-        parts = []
-        for r in range(min(r_cells, self.max_ring + 2) + 1):
+        parts = []  # ring 0 holds i itself, so it is never empty
+        for r in range(min(r_cells, self.max_ring) + 1):
             parts.extend(self._ring_members(center, r))
-        if not parts:
-            return np.empty(0, dtype=np.int64)
         cand = np.concatenate(parts)
         cand = cand[cand != i]
-        if cand.size == 0:
-            return cand
         d2 = _sq_dists(self.coords, i, cand)
-        keep = cand[d2 <= radius * radius]
-        return np.sort(keep)
+        return np.sort(cand[d2 <= radius * radius])
 
 
-def _knn_neighbor_lists(points: PointCloud, k_per_node: np.ndarray) -> list[np.ndarray]:
-    """Per-node nearest-neighbor index lists.
-
-    Brute force for tiny or geometrically degenerate clouds, cell grid
-    otherwise; both score candidates with `_sq_dists` and break ties by
-    lower index, so the paths agree bit-exactly.
-    """
-    coords = points.coords
-    n = points.n
-    grid = None if n <= _SMALL_N_BRUTE else _CellGrid(coords)
-    if grid is None or grid.degenerate:
-        out = []
-        all_idx = np.arange(n)
-        for i in range(n):
-            cand = all_idx[all_idx != i]
-            d2 = _sq_dists(coords, i, cand)
-            order = np.lexsort((cand, d2))
-            out.append(cand[order[: k_per_node[i]]])
-        return out
-    return [grid.knn(i, int(k_per_node[i])) for i in range(n)]
-
-
-def _within_query(coords: np.ndarray, grid: "_CellGrid", i: int, r: float) -> np.ndarray:
-    if grid.degenerate:
-        all_idx = np.arange(coords.shape[0])
-        cand = all_idx[all_idx != i]
-        d2 = _sq_dists(coords, i, cand)
-        return np.sort(cand[d2 <= r * r])
-    return grid.within(i, r)
-
-
-def _symmetrize(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Union of directed edges as canonical undirected pairs."""
-    u = np.minimum(src, dst)
-    v = np.maximum(src, dst)
-    pairs = np.unique(np.stack([u, v], axis=1), axis=0)
-    return pairs
+def _knn_graph(points: PointCloud, ks: np.ndarray) -> Graph:
+    """Union of node i's ks[i] nearest neighbors, as canonical undirected pairs."""
+    grid = _CellGrid(points.coords)
+    neigh = [grid.knn(i, k) for i, k in enumerate(ks.tolist())]
+    src = np.repeat(np.arange(points.n), [a.size for a in neigh])
+    dst = np.concatenate(neigh)
+    pairs = np.unique(np.stack([np.minimum(src, dst), np.maximum(src, dst)], axis=1), axis=0)
+    return Graph(points.n, pairs, presym_out_degree=ks)
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +293,7 @@ def build_knn(points: PointCloud, k: int) -> Graph:
     """Symmetrized k-nearest-neighbor graph; ties broken by lower index."""
     if not (1 <= k < points.n):
         raise InvalidParameterError(f"k must satisfy 1 <= k < n, got k={k}, n={points.n}")
-    ks = np.full(points.n, k, dtype=np.int64)
-    neigh = _knn_neighbor_lists(points, ks)
-    src = np.repeat(np.arange(points.n), [a.size for a in neigh])
-    dst = np.concatenate(neigh)
-    edges = _symmetrize(src, dst)
-    return Graph(points.n, edges, presym_out_degree=ks)
+    return _knn_graph(points, np.full(points.n, k, dtype=np.int64))
 
 
 def build_radius(points: PointCloud, r: float) -> Graph:
@@ -354,7 +303,7 @@ def build_radius(points: PointCloud, r: float) -> Graph:
     grid = _CellGrid(points.coords)
     rows = []
     for i in range(points.n):
-        js = _within_query(points.coords, grid, i, r)
+        js = grid.within(i, r)
         js = js[js > i]
         if js.size:
             rows.append(np.stack([np.full(js.size, i, dtype=np.int64), js], axis=1))
@@ -371,27 +320,19 @@ def estimate_density(points: PointCloud, r: float) -> np.ndarray:
     if r <= 0:
         raise InvalidParameterError(f"radius must be positive, got {r}")
     grid = _CellGrid(points.coords)
-    return np.array(
-        [_within_query(points.coords, grid, i, r).size for i in range(points.n)],
-        dtype=np.int64,
-    )
+    return np.array([grid.within(i, r).size for i in range(points.n)], dtype=np.int64)
 
 
 def build_vknn(points: PointCloud, cfg: VknnConfig) -> Graph:
     """Density-adaptive KNN: node i gets k_i = max(alpha_floor*k_min, floor(k_max*d_i/d_max))."""
     if cfg.k_max >= points.n:
         raise InvalidParameterError(f"k_max must be < n, got k_max={cfg.k_max}, n={points.n}")
-    ks = vknn_k_of(cfg, estimate_density(points, cfg.density_radius))
     floor_k = cfg.alpha_floor * cfg.k_min
     if floor_k >= points.n:
         raise InvalidParameterError(
             f"alpha_floor*k_min = {floor_k} must be < n = {points.n}"
         )
-    neigh = _knn_neighbor_lists(points, ks)
-    src = np.repeat(np.arange(points.n), [a.size for a in neigh])
-    dst = np.concatenate(neigh)
-    edges = _symmetrize(src, dst)
-    return Graph(points.n, edges, presym_out_degree=ks)
+    return _knn_graph(points, vknn_k_of(cfg, estimate_density(points, cfg.density_radius)))
 
 
 def vknn_k_of(cfg: VknnConfig, densities: np.ndarray) -> np.ndarray:

@@ -218,6 +218,18 @@ def test_gated_aggregate_plans_stay_within_padding_bound():
             == list(range(src.size))
 
 
+def test_sender_plan_is_built_by_the_first_backward():
+    src, dst = _bucketed_graph(np.random.default_rng(18))
+    edges = ad.EdgeList(src, dst, 60)
+    x, gates = param(np.ones((60, 2))), param(np.ones((src.size, 1)))
+    out = ad.gated_aggregate(x, gates, edges)
+    assert edges._by_src is None  # a forward reads only the plan by dst
+    backward(ad.sum_all(out))
+    assert edges._by_src is not None
+    for (r, e, p), (r2, e2, p2) in zip(edges.by_src, ad._padded_plan(src, dst, 60), strict=True):
+        assert np.array_equal(r, r2) and np.array_equal(e, e2) and np.array_equal(p, p2)
+
+
 def test_gated_aggregate_without_edges():
     empty = np.zeros(0, dtype=np.int64)
     edges = ad.EdgeList(empty, empty, 5)

@@ -190,6 +190,19 @@ def test_manifest_without_blob_table_names_the_rebuilding_command(tmp_path, kind
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
+def test_truncated_manifest_refused_naming_the_file(tmp_path, kind):
+    save, load, _ = KINDS[kind]
+    _, man = save(7, tmp_path)
+    text = man.read_text()
+    man.write_text(text[: len(text) // 2])
+    with pytest.raises(ArtifactError, match=man.name.replace(".", r"\.")):
+        load(man)
+    man.write_text("[]\n")  # parses, but is no manifest
+    with pytest.raises(ArtifactError, match=man.name.replace(".", r"\.")):
+        load(man)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
 def test_wrong_kind_refused(tmp_path, kind):
     save, load, _ = KINDS[kind]
     _, man = save(7, tmp_path)

@@ -27,6 +27,7 @@ from virso_kit.graphs import (
     save_point_cloud,
     vknn_k_of,
 )
+from virso_kit.graphs import _CellGrid
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +60,10 @@ def radius_edges_bruteforce(coords: np.ndarray, r: float) -> set:
 
 def dijkstra_unit_hops(graph: Graph, source: int) -> np.ndarray:
     """Reference shortest paths with unit edge lengths (binary heap)."""
-    indptr, indices = graph.adjacency_csr()
+    neighbors = [[] for _ in range(graph.n)]
+    for u, v in graph.edges.tolist():
+        neighbors[u].append(v)
+        neighbors[v].append(u)
     dist = np.full(graph.n, np.inf)
     dist[source] = 0.0
     heap = [(0.0, source)]
@@ -67,11 +71,11 @@ def dijkstra_unit_hops(graph: Graph, source: int) -> np.ndarray:
         d, u = heapq.heappop(heap)
         if d > dist[u]:
             continue
-        for v in indices[indptr[u]:indptr[u + 1]]:
+        for v in neighbors[u]:
             nd = d + 1.0
             if nd < dist[v]:
                 dist[v] = nd
-                heapq.heappush(heap, (nd, int(v)))
+                heapq.heappush(heap, (nd, v))
     return dist
 
 
@@ -145,7 +149,10 @@ def test_knn_matches_bruteforce_random_cloud():
     assert edge_set(g) == knn_edges_bruteforce(pts.coords, 5)
 
 
-@pytest.mark.parametrize("n,k,d,seed", [(80, 3, 2, 1), (200, 7, 2, 2), (150, 5, 3, 4), (500, 10, 2, 5)])
+@pytest.mark.parametrize("n,k,d,seed", [
+    (2, 1, 2, 30), (5, 4, 3, 31), (12, 3, 2, 32), (33, 6, 3, 33), (64, 8, 2, 34), (64, 5, 3, 35),
+    (80, 3, 2, 1), (200, 7, 2, 2), (150, 5, 3, 4), (500, 10, 2, 5),
+])
 def test_knn_oracle_equivalence_sweep(n, k, d, seed):
     pts = random_cloud(n, d=d, seed=seed)
     g = build_knn(pts, k)
@@ -162,16 +169,32 @@ def test_knn_grid_cloud_with_ties_matches_bruteforce():
 
 
 def test_knn_collinear_cloud_falls_back_exactly():
-    # near-zero vertical span degrades the cell grid; the brute fallback
-    # must still match the oracle bit-exactly
+    # a near-zero vertical span would need ~1e5 rings of cells, so the grid
+    # holds the cloud in one cell and its ring 0 is the brute-force scan
     rng = np.random.default_rng(6)
     coords = np.stack([np.linspace(0, 1, 90), np.zeros(90)], axis=1)
     coords += rng.normal(0, 1e-9, coords.shape)
     pts = PointCloud(coords)
+    assert _CellGrid(coords).max_ring == 0
     g = build_knn(pts, 3)
     assert edge_set(g) == knn_edges_bruteforce(coords, 3)
     gr = build_radius(pts, 0.05)
     assert edge_set(gr) == radius_edges_bruteforce(coords, 0.05)
+
+
+def test_thin_slab_matches_bruteforce_oracles():
+    # a 3-d slab 1e-9 thick is held in one cell, like the collinear cloud
+    rng = np.random.default_rng(12)
+    coords = np.concatenate([rng.uniform(0, 1, (200, 2)), rng.uniform(0, 1e-9, (200, 1))], axis=1)
+    pts = PointCloud(coords)
+    assert _CellGrid(coords).max_ring == 0
+    for k in (1, 6):
+        assert edge_set(build_knn(pts, k)) == knn_edges_bruteforce(coords, k)
+    r = 0.1
+    assert edge_set(build_radius(pts, r)) == radius_edges_bruteforce(coords, r)
+    d2 = np.sum((coords[:, None, :] - coords[None, :, :]) ** 2, axis=-1)
+    oracle = ((d2 <= r * r).sum(axis=1) - 1).astype(np.int64)
+    assert np.array_equal(estimate_density(pts, r), oracle)
 
 
 def test_knn_min_degree_equals_k_on_synthetic_clouds():
@@ -323,6 +346,15 @@ def test_vknn_degenerate_density_error():
     pts = random_cloud(50, seed=2)
     cfg = VknnConfig(k_min=2, k_max=5, density_radius=1e-9)
     with pytest.raises(DegenerateGraphError):
+        build_vknn(pts, cfg)
+
+
+def test_vknn_floor_checked_before_the_density_pass():
+    # every node is isolated at this radius, but the floor alpha_floor*k_min
+    # = 10 is already out of range for 10 points
+    pts = random_cloud(10, seed=3)
+    cfg = VknnConfig(k_min=5, k_max=9, density_radius=1e-6, alpha_floor=2)
+    with pytest.raises(InvalidParameterError, match="alpha_floor"):
         build_vknn(pts, cfg)
 
 
