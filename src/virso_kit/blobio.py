@@ -5,7 +5,9 @@ directory. `save_artifact` writes them; the manifest's `kind` names what it
 holds and its `blobs` table records, for each blob, the file name, dtype,
 shape, byte size and sha256 of its bytes. `load_artifact` reads them back
 and refuses, with an `ArtifactError` naming the file, a wrong kind, a
-missing blob, a byte size that disagrees with the table or with dtype x
+table entry with a field missing or of the wrong type (a dtype other than
+the storage dtypes below, a shape other than a list of non-negative ints),
+a missing blob, a byte size that disagrees with the table or with dtype x
 shape, a hash mismatch, a manifest that does not parse as a JSON object,
 and a missing manifest or one from before the table existed (naming the
 command that rebuilds it).
@@ -53,6 +55,28 @@ def save_artifact(manifest_path: Path, kind: str,
     return manifest_path
 
 
+# the fields of a blob table entry, with the JSON type each must hold
+_ENTRY_FIELDS = {"file": (str, "string"), "dtype": (str, "string"), "shape": (list, "list"),
+                 "bytes": (int, "integer"), "sha256": (str, "string")}
+
+
+def _check_entry(manifest_path: Path, role: str, entry) -> None:
+    """Refuse a blob table entry with a field missing or of the wrong type."""
+    where = f"{manifest_path}: blob {role!r}"
+    if not isinstance(entry, dict) or not set(_ENTRY_FIELDS) <= set(entry):
+        raise ArtifactError(f"{where} is not an object holding {', '.join(_ENTRY_FIELDS)}")
+    for name, (kind, label) in _ENTRY_FIELDS.items():
+        if not isinstance(entry[name], kind) or isinstance(entry[name], bool):
+            raise ArtifactError(f"{where} has {name} {entry[name]!r}, not a JSON {label}")
+    if entry["dtype"] not in (F32, F64, U32):
+        raise ArtifactError(f"{where} has dtype {entry['dtype']!r}, not one of "
+                            f"{F32}, {F64}, {U32}")
+    if not all(isinstance(d, int) and not isinstance(d, bool) and d >= 0
+               for d in entry["shape"]):
+        raise ArtifactError(f"{where} has shape {entry['shape']!r}, not a list of "
+                            f"non-negative integers")
+
+
 def load_artifact(manifest_path: Path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
     """The manifest and its blobs by role (read-only arrays), each checked against the table."""
     manifest_path = Path(manifest_path)
@@ -70,8 +94,11 @@ def load_artifact(manifest_path: Path, kind: str) -> tuple[dict, dict[str, np.nd
                             f"blob table; rebuild it with `virso-kit {_PRODUCERS[kind]}`")
     if man.get("kind") != kind:
         raise ArtifactError(f"{manifest_path} holds {man.get('kind')!r}, not {kind!r}")
+    if not isinstance(man["blobs"], dict):
+        raise ArtifactError(f"{manifest_path}: the blob table is not a JSON object")
     arrays = {}
     for role, entry in man["blobs"].items():
+        _check_entry(manifest_path, role, entry)
         path = manifest_path.parent / entry["file"]
         if not path.is_file():
             raise ArtifactError(f"missing blob {path} of {manifest_path}")

@@ -56,6 +56,11 @@ class PointCloud:
             raise InvalidInputError(f"spatial dimension must be 2 or 3, got {d}")
         if not np.all(np.isfinite(coords)):
             raise InvalidInputError("coordinates must be finite")
+        with np.errstate(over="ignore"):
+            span = coords.max(axis=0) - coords.min(axis=0)
+            span_sq = float(np.sum(span * span))
+        if not np.isfinite(span_sq):  # it bounds every squared distance
+            raise InvalidInputError("coordinates span too wide: squared distances overflow")
         order = np.lexsort(coords.T)
         dup = np.all(coords[order[1:]] == coords[order[:-1]], axis=1)
         if dup.any():

@@ -6,7 +6,8 @@ hidden function dimension, refined by T spectral-spatial collaboration
 blocks, and downlifted to the multi-channel output field. The embedding
 FCN, the nonlinear collaboration and the downlift are each one
 `ad.gelu_mlp` op (dense -> GELU -> dense), so their hidden layers never
-stay on the tape.
+stay on the tape; each block's edge gates are one `ad.gate_mlp` op, which
+folds the rank-one edge-weight term (see `edge_gates`).
 
 Per block:
   spectral   v_spec = layer_norm(gelu(Q (K x1 Q^T v) + v W_skip))
@@ -16,7 +17,9 @@ Per block:
 Variants drop one branch (the survivor feeds the skip directly), the
 weighted spectral skip, or the identity skip, matching the ablation
 grid. The gate for a directed edge u->v reads [h_u || h_v || W2 w_uv]
-(sender embedding first). Gates depend only on the graph and the gate
+(sender embedding first); since w_uv is a scalar, its part of the first
+gate layer, (w_uv W2) W1[2 alpha:], is w_uv (W2 W1[2 alpha:]), one (1, g_h)
+row per block scaled per edge. Gates depend only on the graph and the gate
 parameters, so untaped forwards reuse each block's gates from a memo on
 the graph artifacts, keyed by the exact gate parameter values.
 """
@@ -259,10 +262,7 @@ def spectral_block(v: Value, qm: Value, qm_t: Value, kernel: Value,
 def edge_gates(arts: GraphArtifacts, gate_w1: Value, gate_w2: Value,
                gate_w3: Value) -> Value:
     """Per-directed-edge gate in (0, 1) from anchor embeddings and edge weight."""
-    wef = ad.matmul(constant(arts.w_dir), gate_w2)
-    feat = ad.concat_cols(constant(arts.gate_base), wef)
-    hidden = ad.relu(ad.matmul(feat, gate_w1))
-    return ad.sigmoid(ad.matmul(hidden, gate_w3))
+    return ad.gate_mlp(arts.gate_base, arts.w_dir, gate_w1, gate_w2, gate_w3)
 
 
 def _block_gates(arts: GraphArtifacts, t: int, gate_w1: Value, gate_w2: Value,
@@ -384,6 +384,11 @@ def flop_count(config: VirsoConfig, n: int, e: int) -> dict:
     `per_graph` is the gate MLPs, T*2*E*gate, which an untaped forward
     computes once per graph and parameter values; `per_sample` is the rest,
     the work of one served request. The two sum to `total`.
+
+    The gate is counted as the operator is written. `ad.gate_mlp` folds the
+    rank-one edge-weight term into one scaled (1, g_h) row, so its first
+    layer does 2 (2 alpha + 1) g_h per directed edge and block, not the
+    2 (2 alpha + g_w) g_h counted here.
     """
     c = config
     embed_flops = (2 * c.input_width * c.d_latent if c.embed_hidden == 0

@@ -55,8 +55,10 @@ def check_op(build, arrays, seed=0, tol=1e-6):
 
 def test_activation_fixed_points():
     assert float(ad.gelu(constant(0.0)).data) == 0.0
-    assert float(ad.sigmoid(constant(0.0)).data) == 0.5
-    assert float(ad.relu(constant(-1.0)).data) == 0.0
+    rng = np.random.default_rng(0)
+    base, w_dir, w1, w2, _ = _gate_operands(rng, 7)
+    gates = ad.gate_mlp(base, w_dir, constant(w1), constant(w2), constant(np.zeros((5, 1))))
+    assert gates.data.shape == (7, 1) and np.all(gates.data == 0.5)
 
 
 def test_mode1_identity_kernel():
@@ -254,8 +256,6 @@ def test_fd_activations_and_sqrt():
     rng = np.random.default_rng(9)
     a = rng.standard_normal((5, 4))
     check_op(lambda x: ad.gelu(x), [a])
-    check_op(lambda x: ad.sigmoid(x), [a])
-    check_op(lambda x: ad.relu(x), [a + 0.05])  # keep clear of the kink
 
 
 def test_gelu_is_byte_identical_to_the_written_out_expressions():
@@ -328,6 +328,106 @@ def test_gelu_mlp_rejects_bad_shapes():
     for operands in bad:
         with pytest.raises(ShapeError, match="gelu_mlp"):
             ad.gelu_mlp(*operands)
+
+
+def _gate_operands(rng, e, a=4, g=3, h=5):
+    return [rng.standard_normal((e, a)), rng.random((e, 1)),
+            rng.standard_normal((a + g, h)) / np.sqrt(a + g), rng.standard_normal((1, g)),
+            rng.standard_normal((h, 1)) / np.sqrt(h)]
+
+
+def test_fd_gate_mlp():
+    base, w_dir, *weights = _gate_operands(np.random.default_rng(44), 9)
+    check_op(lambda w1, w2, w3: ad.gate_mlp(base, w_dir, w1, w2, w3), weights)
+
+
+def _composed_gates(base, w_dir, w1, w2, w3, g):
+    """The gate chain written out in numpy: output and (dw1, dw2, dw3) for weight g."""
+    feat = np.concatenate([base, w_dir @ w2], axis=1)
+    pre = feat @ w1
+    hidden = np.maximum(pre, 0.0)
+    gates = 1.0 / (1.0 + np.exp(-(hidden @ w3)))
+    dz = g * gates * (1.0 - gates)
+    dpre = (dz @ w3.T) * (pre > 0)
+    dfeat = dpre @ w1.T
+    return gates, (feat.T @ dpre, w_dir.T @ dfeat[:, base.shape[1]:], hidden.T @ dz)
+
+
+def test_gate_mlp_matches_the_composed_chain():
+    rng = np.random.default_rng(45)
+    e = 2 * ad._GATE_ROWS + 123  # several row blocks, the last one partial
+    base, w_dir, *weights = _gate_operands(rng, e, a=16, g=8, h=16)
+    g = rng.standard_normal((e, 1))
+    ref, ref_grads = _composed_gates(base, w_dir, *weights, g)
+    params = [param(w.copy()) for w in weights]
+    out = ad.gate_mlp(base, w_dir, *params)
+    backward(ad.sum_all(ad.elementwise_mul(out, constant(g))))
+    assert out.data.shape == (e, 1)
+    assert np.max(np.abs(out.data - ref)) <= 1e-13
+    for p, r in zip(params, ref_grads, strict=True):
+        assert p.grad.shape == r.shape
+        assert np.max(np.abs(p.grad - r)) <= 1e-12 * np.max(np.abs(r))
+
+
+def test_gate_mlp_saturates_without_overflow():
+    base, w_dir, w1, w2, _ = _gate_operands(np.random.default_rng(46), 6)
+    with np.errstate(over="raise"):
+        for sign in (1.0, -1.0):
+            out = ad.gate_mlp(base, w_dir, constant(w1), constant(w2),
+                              constant(np.full((5, 1), sign * 1e6)))
+            assert np.all((out.data >= 0.0) & (out.data <= 1.0))
+
+
+def test_gate_mlp_rejects_bad_shapes():
+    base, w_dir, w1, w2, w3 = _gate_operands(np.random.default_rng(47), 6)
+    w1, w2, w3 = map(constant, (w1, w2, w3))
+    bad = [
+        (base[0], w_dir, w1, w2, w3),                        # base without a row axis
+        (base, w_dir[:5], w1, w2, w3),                       # one edge weight short
+        (base, w_dir[:, 0], w1, w2, w3),                     # edge weights not (E, 1)
+        (base, w_dir, constant(np.ones((6, 5))), w2, w3),    # w1 rows != a + g
+        (base, w_dir, w1, constant(np.ones((2, 3))), w3),    # w2 not one row
+        (base, w_dir, w1, w2, constant(np.ones((4, 1)))),    # w3 rows != hidden width
+        (base, w_dir, w1, w2, constant(np.ones((5, 2)))),    # more than one gate per row
+    ]
+    for operands in bad:
+        with pytest.raises(ShapeError, match="gate_mlp"):
+            ad.gate_mlp(*operands)
+
+
+def test_gate_mlp_without_rows():
+    base, w_dir, *weights = _gate_operands(np.random.default_rng(48), 0)
+    params = [param(w) for w in weights]
+    out = ad.gate_mlp(base, w_dir, *params)
+    backward(ad.sum_all(out))
+    assert out.data.shape == (0, 1)
+    assert all(p.grad.shape == p.data.shape and not p.grad.any() for p in params)
+
+
+def test_constant_operands_get_no_gradient_and_the_rest_is_unchanged():
+    rng = np.random.default_rng(49)
+    a, b = rng.standard_normal((2, 5, 4)), rng.standard_normal((4, 3))
+    g = rng.standard_normal((2, 5, 3))
+    for const in (0, 1):
+        both = [param(a), param(b)]
+        backward(ad.sum_all(ad.elementwise_mul(ad.matmul(*both), constant(g))))
+        one = [param(a), param(b)]
+        one[const] = constant(one[const].data)
+        backward(ad.sum_all(ad.elementwise_mul(ad.matmul(*one), constant(g))))
+        assert one[const].grad is None
+        assert one[1 - const].grad.tobytes() == both[1 - const].grad.tobytes()
+    operands = _mlp_operands(rng, (3, 301, 4), 9, 3)  # several row blocks
+    weight = constant(rng.standard_normal((3, 301, 3)))
+    runs = []
+    for taped_x in (True, False):
+        params = [param(o) for o in operands]
+        if not taped_x:
+            params[0] = constant(operands[0])
+        backward(ad.sum_all(ad.elementwise_mul(ad.gelu_mlp(*params), weight)))
+        runs.append(params)
+    assert runs[1][0].grad is None
+    for p, q in zip(runs[0][1:], runs[1][1:], strict=True):
+        assert p.grad.tobytes() == q.grad.tobytes()
 
 
 def test_fd_norm_ops():
@@ -426,14 +526,15 @@ def test_backward_releases_every_intermediate_node():
     edges = ad.EdgeList(rng.integers(0, n, size=e), rng.integers(0, n, size=e), n)
     w = param(rng.standard_normal((3, 3)))
     gain, bias = param(np.ones((1, 3))), param(np.zeros((1, 3)))
-    gates = ad.sigmoid(ad.matmul(constant(rng.standard_normal((e, 2))), param(np.ones((2, 1)))))
+    gates = ad.gate_mlp(rng.standard_normal((e, 2)), rng.random((e, 1)),
+                        param(np.ones((3, 2))), param(np.ones((1, 1))), param(np.ones((2, 1))))
     h = ad.gelu(ad.matmul(constant(rng.standard_normal((2, n, 3))), w))
     out = ad.layer_norm_rows(ad.gated_aggregate(h, gates, edges), gain, bias)
     root = ad.sum_all(ad.elementwise_mul(out, out))
     nodes = _tape(root)
     inner = [v for v in nodes if v._backward is not None]
     leaves = [v for v in nodes if v._backward is None and v.requires_grad]
-    assert len(inner) >= 8 and len(leaves) == 4
+    assert len(inner) >= 7 and len(leaves) == 6
     backward(root)
     assert all(v._backward is None and v._parents is None and v.grad is None for v in inner)
     assert all(v.grad is not None for v in leaves)

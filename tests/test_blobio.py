@@ -202,6 +202,60 @@ def test_truncated_manifest_refused_naming_the_file(tmp_path, kind):
         load(man)
 
 
+def _set(field, value):
+    def edit(entry):
+        entry[field] = value
+        return entry
+    return edit
+
+
+def _drop(field):
+    def edit(entry):
+        del entry[field]
+        return entry
+    return edit
+
+
+# ways to break one entry of a blob table, each refused before a blob is read
+ENTRY_EDITS = {
+    "dtype_garbage": _set("dtype", "garbage"),
+    "dtype_not_stored": _set("dtype", "<i8"),  # a numpy dtype, but no storage dtype
+    "dtype_not_string": _set("dtype", 4),
+    "shape_string": _set("shape", "x"),
+    "shape_negative": _set("shape", [-1]),
+    "shape_float": _set("shape", [2.0]),
+    "shape_bool": _set("shape", [True]),
+    "bytes_string": _set("bytes", "12"),
+    "file_not_string": _set("file", 3),
+    "sha256_missing": _drop("sha256"),
+    "not_an_object": lambda entry: entry["file"],
+}
+
+
+@pytest.mark.parametrize("edit", sorted(ENTRY_EDITS))
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_malformed_blob_table_entry_refused_naming_the_manifest(tmp_path, kind, edit):
+    save, load, _ = KINDS[kind]
+    _, man = save(7, tmp_path)
+    doc = json.loads(man.read_text())
+    role = sorted(doc["blobs"])[0]
+    doc["blobs"][role] = ENTRY_EDITS[edit](doc["blobs"][role])
+    man.write_text(json.dumps(doc))
+    with pytest.raises(ArtifactError, match=f"{man.name}: blob '{role}'"):
+        load(man)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_blob_table_that_is_not_an_object_refused(tmp_path, kind):
+    save, load, _ = KINDS[kind]
+    _, man = save(7, tmp_path)
+    doc = json.loads(man.read_text())
+    doc["blobs"] = list(doc["blobs"].values())
+    man.write_text(json.dumps(doc))
+    with pytest.raises(ArtifactError, match=f"{man.name}: the blob table"):
+        load(man)
+
+
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_wrong_kind_refused(tmp_path, kind):
     save, load, _ = KINDS[kind]

@@ -1,4 +1,5 @@
 import heapq
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,17 @@ def test_point_cloud_rejects_nonfinite_and_tiny():
         PointCloud(np.array([[0.0, 0.0], [np.nan, 1.0]]))
     with pytest.raises(InvalidInputError):
         PointCloud(np.array([[0.0, 0.0]]))
+
+
+def test_point_cloud_rejects_a_span_whose_squared_distances_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any overflow warning
+        with pytest.raises(InvalidInputError, match="overflow"):
+            PointCloud(np.array([[-1e308, 0.0], [1e308, 0.0], [0.0, 1.0]]))
+    # each coordinate difference is finite, but their squared sum is not
+    with pytest.raises(InvalidInputError, match="overflow"):
+        PointCloud(np.array([[0.0, 0.0], [1.5e154, 1.5e154], [0.0, 1.0]]))
+    PointCloud(np.array([[0.0, 0.0], [1e153, 1e153], [0.0, 1.0]]))  # still finite
 
 
 def test_graph_rejects_self_loops_and_duplicates():

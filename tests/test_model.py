@@ -253,7 +253,7 @@ def test_spatial_branch_keeps_nothing_edge_sized_on_the_tape():
     root = batch_loss(model, arts, rng.standard_normal((4, 7)), truth,
                       Normalizer().fit(truth), divisor=4)
     e = arts.src.size
-    stack, seen, held = [root], set(), []
+    stack, seen, held, gates = [root], set(), [], []
     while stack:
         node = stack.pop()
         if id(node) in seen:
@@ -261,11 +261,18 @@ def test_spatial_branch_keeps_nothing_edge_sized_on_the_tape():
         seen.add(id(node))
         stack.extend(node._parents)
         held.append(node.data)
+        if node.data.shape == (e, 1):
+            gates.append(node.data)
         if node._backward is not None:
             held += [c.cell_contents for c in node._backward.__closure__ or ()
                      if isinstance(c.cell_contents, np.ndarray)]
     assert len(seen) > 50
     assert not [a.shape for a in held if a.ndim == 3 and a.shape[-2] == e]
+    # besides one (E, 1) gate output per block, only the graph's own
+    # read-only gate inputs have E rows
+    assert len(gates) == 2
+    allowed = {id(a) for a in gates + [arts.gate_base, arts.w_dir]}
+    assert not [a.shape for a in held if a.shape[:1] == (e,) and id(a) not in allowed]
 
 
 def test_downlift_hidden_layer_stays_off_the_tape():
